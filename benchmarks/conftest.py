@@ -14,13 +14,18 @@ registry and hands it to the parallel repetition runner.  Set
 regenerated series are bit-identical to a serial run, only faster on
 multi-core machines.
 
-The regenerated rows are the actual deliverable, so :func:`emit` writes
-them both to the live terminal (bypassing pytest's capture) and to
-``benchmarks/results/<figure>.txt`` for later inspection.
+The regenerated rows are the actual deliverable, so :func:`emit` (rows)
+and :func:`emit_json` (``BENCH`` payloads) write them both to the live
+terminal (bypassing pytest's capture) and, through :func:`write_result`,
+to the gitignored ``benchmarks/out/`` — running the suite never touches
+a tracked file.  ``benchmarks/results/`` holds the last *committed*
+snapshot; refresh it deliberately with ``cp benchmarks/out/<name>
+benchmarks/results/``.
 """
 
 from __future__ import annotations
 
+import json
 import pathlib
 import re
 import sys
@@ -30,7 +35,7 @@ from repro.exp.runner import run_spec
 from repro.exp.spec import ExperimentResult
 from repro.sim.metrics import median
 
-RESULTS_DIR = pathlib.Path(__file__).parent / "results"
+OUT_DIR = pathlib.Path(__file__).parent / "out"
 
 #: Keyword arguments consumed by the runner itself; everything else a
 #: benchmark passes is forwarded to the spec's case builder.
@@ -49,15 +54,32 @@ def run_figure(figure: str, **kwargs) -> ExperimentResult:
     return run_spec(figure, params=params or None, **runner_kwargs)
 
 
+def write_result(filename: str, text: str) -> None:
+    """Persist ``text`` as ``benchmarks/out/<filename>`` — the suite's
+    one artefact writer."""
+    OUT_DIR.mkdir(exist_ok=True)
+    (OUT_DIR / filename).write_text(text + "\n")
+
+
+def emit_text(filename: str, text: str) -> None:
+    """Print ``text`` on the live terminal and persist it."""
+    print(f"\n{text}", file=sys.__stdout__, flush=True)
+    write_result(filename, text)
+
+
 def emit(result: ExperimentResult) -> Dict[str, List[float]]:
     """Print the regenerated figure rows and persist them; returns the
     series for shape assertions."""
-    text = "\n".join(result.rows())
-    print(f"\n{text}", file=sys.__stdout__, flush=True)
-    RESULTS_DIR.mkdir(exist_ok=True)
     slug = re.sub(r"[^a-z0-9]+", "-", result.name.lower()).strip("-")
-    (RESULTS_DIR / f"{slug}.txt").write_text(text + "\n")
+    emit_text(f"{slug}.txt", "\n".join(result.rows()))
     return result.series
+
+
+def emit_json(name: str, payload: Dict[str, object]) -> None:
+    """Print one scaling benchmark's ``BENCH`` payload as a single log
+    line and persist it, indented, as ``<name>.json``."""
+    print(f"\nBENCH {json.dumps(payload, sort_keys=True)}", file=sys.__stdout__, flush=True)
+    write_result(f"{name}.json", json.dumps(payload, indent=2, sort_keys=True))
 
 
 def med(values: List[float]) -> float:

@@ -28,9 +28,9 @@ from repro.exp.spec import CaseSpec, ExperimentSpec, SPECS, register
 UNIT_LATENCY = 0.5
 
 
-def _bench_cases(networks=None, latency: float = UNIT_LATENCY, **_params):
-    def measure(seed: int, _latency: float = latency) -> float:
-        time.sleep(_latency)
+def _bench_cases(networks=None):
+    def measure(seed: int) -> float:
+        time.sleep(UNIT_LATENCY)
         return float(seed % 97)
 
     return [

@@ -17,20 +17,17 @@ the start of the forensics perf trajectory.  ``REPRO_EXPLAIN_SPECS``
 
 from __future__ import annotations
 
-import json
 import os
-import pathlib
-import sys
 import time
 from typing import Any, Dict
 
+from conftest import emit_json
 from repro.api import Bootstrap, RunPlan
 from repro.obs import Telemetry, use_telemetry
 from repro.obs.causality import ProvenanceDAG
 from repro.obs.explain import explain_payload
 from repro.obs.export import trace_payload
 
-RESULT_PATH = pathlib.Path(__file__).parent.parent / "BENCH_explain.json"
 
 #: Interactive-analysis budget per spec (generous: shared-runner noise).
 ANALYSIS_BUDGET_S = 2.0
@@ -98,6 +95,4 @@ def test_explain_analysis_cost():
         "repeats": REPEATS,
         "specs": by_spec,
     }
-    RESULT_PATH.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    print(f"\nBENCH {json.dumps(doc, sort_keys=True)}",
-          file=sys.__stdout__, flush=True)
+    emit_json("explain", doc)

@@ -26,16 +26,15 @@ from __future__ import annotations
 
 import json
 import os
-import pathlib
 import sys
 import tempfile
 import time
 from typing import Dict, Optional
 
+from conftest import emit_json
 import fabric_bench_spec  # registers the "fabric-bench" spec  # noqa: F401
 from repro.fabric import LocalFleet, run_fabric_campaign
 
-RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
 SPEC = "fabric-bench"
 REPS = 8
@@ -79,25 +78,6 @@ def _measure(workers: int) -> Dict[str, object]:
     }
 
 
-def _emit_json(results: Dict[str, Dict[str, object]]) -> None:
-    RESULTS_DIR.mkdir(exist_ok=True)
-    payload = {
-        "bench": "fabric-scaling",
-        "spec": SPEC,
-        "unit_latency_s": fabric_bench_spec.UNIT_LATENCY,
-        "reps": REPS,
-        "base_seed": 0,
-        "sizes": {
-            size: {k: v for k, v in stats.items() if k != "result_digest"}
-            for size, stats in results.items()
-        },
-    }
-    path = RESULTS_DIR / "fabric-scaling.json"
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    print(f"\nBENCH {json.dumps(payload, sort_keys=True)}",
-          file=sys.__stdout__, flush=True)
-
-
 def test_fabric_scaling_throughput():
     results: Dict[str, Dict[str, object]] = {}
     baseline: Optional[Dict[str, object]] = None
@@ -127,4 +107,14 @@ def test_fabric_scaling_throughput():
 
     for stats in results.values():
         del stats["result_digest"]
-    _emit_json(results)
+    emit_json(
+        "fabric-scaling",
+        {
+            "bench": "fabric-scaling",
+            "spec": SPEC,
+            "unit_latency_s": fabric_bench_spec.UNIT_LATENCY,
+            "reps": REPS,
+            "base_seed": 0,
+            "sizes": results,
+        },
+    )

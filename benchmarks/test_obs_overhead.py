@@ -21,17 +21,13 @@ CI's obs-smoke job runs ``fattree:4``.
 
 from __future__ import annotations
 
-import json
 import os
-import pathlib
-import sys
 import time
 from typing import Dict
 
+from conftest import emit_json
 from repro.api import Bootstrap, RunPlan
 from repro.obs import Telemetry, use_telemetry
-
-RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
 #: Overhead bound asserted by CI: the acceptance criterion (25%) plus
 #: slack for shared-runner scheduling noise on a sub-second workload;
@@ -112,10 +108,7 @@ def test_obs_overhead_disabled_and_enabled():
         "enabled": on,
         "enabled_over_disabled": round(ratio, 3),
     }
-    RESULTS_DIR.mkdir(exist_ok=True)
-    path = RESULTS_DIR / "obs-overhead.json"
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    print(f"\nBENCH {json.dumps(payload, sort_keys=True)}", file=sys.__stdout__, flush=True)
+    emit_json("obs-overhead", payload)
 
     assert ratio < ENABLED_BUDGET, (
         f"full tracing costs {ratio:.2f}x over disabled "

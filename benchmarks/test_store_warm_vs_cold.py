@@ -8,13 +8,10 @@ ratio meaningful (byte-identical output, all-hit cache accounting) plus a
 generous floor on the speedup itself.
 """
 
-import pathlib
-import sys
 import time
 
+from conftest import emit_text
 from repro.exp.runner import run_spec
-
-RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
 
 def test_store_warm_vs_cold(tmp_path, benchmark):
@@ -37,10 +34,7 @@ def test_store_warm_vs_cold(tmp_path, benchmark):
         f"warm sweep: {warm_s:8.3f} s  ({warm.cache_stats['hit']} loaded)",
         f"speedup:    {cold_s / max(warm_s, 1e-9):8.1f}x",
     ]
-    text = "\n".join(lines)
-    print(f"\n{text}", file=sys.__stdout__, flush=True)
-    RESULTS_DIR.mkdir(exist_ok=True)
-    (RESULTS_DIR / "store-warm-vs-cold.txt").write_text(text + "\n")
+    emit_text("store-warm-vs-cold.txt", "\n".join(lines))
 
     assert cold.cache_stats == {"hit": 0, "derived": 0, "simulated": 6}
     assert warm.cache_stats == {"hit": 6, "derived": 0, "simulated": 0}

@@ -20,9 +20,7 @@ only.
 
 from __future__ import annotations
 
-import json
 import os
-import pathlib
 import sys
 import time
 from typing import Dict, Optional
@@ -31,9 +29,9 @@ import pytest
 
 np = pytest.importorskip("numpy")
 
-from repro.traffic.spec import run_traffic
+from conftest import emit_json
+from repro.traffic.spec import traffic_run_plan
 
-RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
 TOPOLOGY = "jellyfish:200"
 ALL_SIZES = [100_000, 1_000_000]
@@ -49,8 +47,8 @@ def _selected_sizes():
 
 def _measure(flows: int) -> Dict[str, object]:
     start = time.perf_counter()
-    result = run_traffic(TOPOLOGY, seed=0, flows=flows, pairs=256,
-                         campaign="churn", duration=12.0)
+    result = traffic_run_plan(TOPOLOGY, seed=0, flows=flows, pairs=256,
+                              campaign="churn", duration=12.0).run()
     wall = time.perf_counter() - start
     assert result.ok, f"{flows}-flow campaign failed"
     block = result.traffic
@@ -105,22 +103,6 @@ def _measure_reconvergence(flows: int) -> Dict[str, float]:
     }
 
 
-def _emit_json(results: Dict[str, Dict[str, object]]) -> None:
-    RESULTS_DIR.mkdir(exist_ok=True)
-    payload = {
-        "bench": "traffic-scaling",
-        "topology": TOPOLOGY,
-        "seed": 0,
-        "pairs": 256,
-        "campaign": "churn",
-        "sizes": results,
-    }
-    path = RESULTS_DIR / "traffic-scaling.json"
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    print(f"\nBENCH {json.dumps(payload, sort_keys=True)}",
-          file=sys.__stdout__, flush=True)
-
-
 def test_traffic_scaling_campaign_and_reconvergence():
     results: Dict[str, Dict[str, object]] = {}
     for flows in _selected_sizes():
@@ -143,4 +125,14 @@ def test_traffic_scaling_campaign_and_reconvergence():
             flush=True,
         )
 
-    _emit_json(results)
+    emit_json(
+        "traffic-scaling",
+        {
+            "bench": "traffic-scaling",
+            "topology": TOPOLOGY,
+            "seed": 0,
+            "pairs": 256,
+            "campaign": "churn",
+            "sizes": results,
+        },
+    )

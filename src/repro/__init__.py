@@ -29,7 +29,9 @@ Public API overview
 * :mod:`repro.store` — **the run store**: content-addressed on-disk
   persistence of completed runs/repetitions, resumable sweeps, and
   store-only report aggregation.
-* :mod:`repro.analysis` — one experiment function per paper figure/table.
+* :mod:`repro.exp` — one declarative experiment spec per paper
+  figure/table (``run_spec("fig5", reps=3)``), with its parameter schema,
+  and the parallel repetition runner.
 
 Quickstart::
 

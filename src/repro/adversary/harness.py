@@ -31,7 +31,7 @@ from typing import List, Optional, Tuple
 
 from repro.adversary.corruptions import CORRUPTIONS
 from repro.adversary.schedulers import SCHEDULERS
-from repro.adversary.spec import measure_stabilization
+from repro.adversary.spec import stabilize_run_plan
 from repro.obs.explain import explain_rerun
 from repro.scenarios.harness import TOPOLOGY_POOL
 
@@ -84,13 +84,13 @@ def generate_stabilization_cases(
 def check_stabilization_case(case: StabilizationCase) -> Optional[float]:
     """Stabilization seconds from arbitrary initial state, or ``None`` on
     non-convergence — the property under test is "never ``None``"."""
-    return measure_stabilization(
+    return stabilize_run_plan(
         case.topology,
         case.corruption,
         case.seed,
         scheduler=case.scheduler,
         **FAST_SETTINGS,
-    )
+    ).run().stabilization_time
 
 
 def shrink_stabilization_case(case: StabilizationCase) -> StabilizationCase:

@@ -20,10 +20,22 @@ hook, like the scenario spec.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
-from repro.api import AwaitLegitimacy, CorruptState, RunPlan, RunResult
-from repro.exp.spec import CaseSpec, ExperimentSpec, register
+from repro.adversary.corruptions import CORRUPTIONS
+from repro.adversary.schedulers import SCHEDULERS
+from repro.api import AwaitLegitimacy, CorruptState, RunPlan
+from repro.exp.spec import (
+    CONTROLLERS_PARAM,
+    TASK_DELAY_PARAM,
+    THETA_PARAM,
+    TIMEOUT_PARAM,
+    TOPOLOGY_PARAM,
+    CaseSpec,
+    ExperimentSpec,
+    Param,
+    register,
+)
 
 
 def stabilize_run_plan(
@@ -61,69 +73,7 @@ def stabilize_run_plan(
     )
 
 
-def run_stabilize(
-    topology: str,
-    corruption: str,
-    seed: int,
-    scheduler: str = "none",
-    scheduler_bound: float = 4.0,
-    n_controllers: int = 3,
-    task_delay: float = 0.5,
-    theta: int = 10,
-    timeout: float = 240.0,
-) -> RunResult:
-    """Execute one stabilization repetition; returns its full run record."""
-    return stabilize_run_plan(
-        topology,
-        corruption,
-        seed,
-        scheduler=scheduler,
-        scheduler_bound=scheduler_bound,
-        n_controllers=n_controllers,
-        task_delay=task_delay,
-        theta=theta,
-        timeout=timeout,
-    ).run()
-
-
-def measure_stabilization(
-    topology: str,
-    corruption: str,
-    seed: int,
-    scheduler: str = "none",
-    scheduler_bound: float = 4.0,
-    n_controllers: int = 3,
-    task_delay: float = 0.5,
-    theta: int = 10,
-    timeout: float = 240.0,
-) -> Optional[float]:
-    """Stabilization time from arbitrary initial state to legitimacy, or
-    ``None`` if the run never converged within the timeout."""
-    return run_stabilize(
-        topology,
-        corruption,
-        seed,
-        scheduler=scheduler,
-        scheduler_bound=scheduler_bound,
-        n_controllers=n_controllers,
-        task_delay=task_delay,
-        theta=theta,
-        timeout=timeout,
-    ).stabilization_time
-
-
-def _stabilize_cases(
-    networks=None,
-    topology: str = "jellyfish:20",
-    corruption: str = "mixed",
-    scheduler: str = "none",
-    scheduler_bound: float = 4.0,
-    n_controllers: int = 3,
-    task_delay: float = 0.5,
-    theta: int = 10,
-    timeout: float = 240.0,
-    **_params,
-) -> List[CaseSpec]:
+def _stabilize_cases(networks, topology, corruption, scheduler, **knobs) -> List[CaseSpec]:
     label = f"{topology} {corruption} {scheduler}"
     if networks and topology not in networks and label not in networks:
         return []
@@ -131,17 +81,11 @@ def _stabilize_cases(
         CaseSpec(
             label=label,
             network=topology,
-            measure=lambda s: measure_stabilization(
-                topology,
-                corruption,
-                s,
-                scheduler=scheduler,
-                scheduler_bound=scheduler_bound,
-                n_controllers=n_controllers,
-                task_delay=task_delay,
-                theta=theta,
-                timeout=timeout,
-            ),
+            # Seconds from the arbitrary initial state to legitimacy, or
+            # None if the run never converged within the timeout.
+            measure=lambda s: stabilize_run_plan(
+                topology, corruption, s, scheduler=scheduler, **knobs
+            ).run().stabilization_time,
             # Like the scenario spec: the worst-case tail is the point of
             # an adversarial campaign, so keep every repetition.
             trim=False,
@@ -160,12 +104,24 @@ register(
             "(Definition 1)"
         ),
         default_reps=8,
+        params=(
+            TOPOLOGY_PARAM,
+            Param(
+                "corruption", "mixed", str, choices=tuple(sorted(CORRUPTIONS)),
+                help="arbitrary-initial-state corruption strategy",
+            ),
+            Param(
+                "scheduler", "none", str, choices=("none", *sorted(SCHEDULERS)),
+                help="bounded adversarial delivery scheduler",
+            ),
+            Param("scheduler_bound", 4.0),
+            CONTROLLERS_PARAM,
+            TASK_DELAY_PARAM,
+            THETA_PARAM,
+            TIMEOUT_PARAM,
+        ),
     )
 )
 
 
-__all__ = [
-    "measure_stabilization",
-    "run_stabilize",
-    "stabilize_run_plan",
-]
+__all__ = ["stabilize_run_plan"]

@@ -8,7 +8,6 @@ Usage::
     python -m repro.cli recover --network Telstra --fault link
     python -m repro.cli iperf --network Telstra [--no-recovery]
     python -m repro.cli traffic --topology jellyfish:200 --flows 100000 --store runs/
-    python -m repro.cli figure fig5 --reps 3
     python -m repro.cli sweep --figure fig5 --network Telstra --reps 8 --workers 4
     python -m repro.cli scenario --topology jellyfish:20 --campaign churn --reps 4
     python -m repro.cli stabilize --topology fattree:4 --corruption mixed --reps 3
@@ -50,14 +49,10 @@ import argparse
 import json
 import sys
 import time
-from typing import Callable, Dict, List
+from typing import Callable, Dict, Iterable, List, Optional
 
 from repro.adversary.corruptions import CORRUPTIONS
 from repro.adversary.schedulers import SCHEDULERS
-from repro.analysis import experiments as exp
-from repro.analysis.adversary import stabilize_campaign
-from repro.analysis.scenarios import scenario_campaign
-from repro.analysis.traffic import traffic_campaign
 from repro.api import (
     AwaitLegitimacy,
     Bootstrap,
@@ -70,71 +65,86 @@ from repro.api import (
 )
 from repro.exp.runner import run_spec
 from repro.exp.seeding import derive_seed
-from repro.exp.spec import list_specs
+from repro.exp.spec import (
+    CONTROLLERS_PARAM,
+    SECTION6,
+    TASK_DELAY_PARAM,
+    THETA_PARAM,
+    ExperimentResult,
+    ExperimentSpec,
+    Param,
+    controller_fault,
+    get_spec,
+    link_fault,
+    list_specs,
+    positive_float,
+    switch_fault,
+    theta_value,
+)
 from repro.store import RunStore, aggregate, store_summary
 from repro.net.topologies import TOPOLOGY_BUILDERS
 from repro.scenarios.campaigns import CAMPAIGNS
 from repro.scenarios.generators import GENERATORS, parse_topology
-from repro.sim.faults import FaultPlan, random_link, removable_switch
 from repro.transport.traffic import (
     TrafficRun,
     place_hosts_at_max_distance,
     standalone_switches,
 )
 
-FIGURES: Dict[str, Callable[..., exp.ExperimentResult]] = {
-    "table8": exp.table8_topologies,
-    "fig5": exp.fig5_bootstrap,
-    "fig6": exp.fig6_bootstrap_vs_controllers,
-    "fig7": exp.fig7_bootstrap_vs_task_delay,
-    "fig9": exp.fig9_communication_overhead,
-    "fig10": exp.fig10_controller_failure,
-    "fig11": exp.fig11_multi_controller_failure,
-    "fig12": exp.fig12_switch_failure,
-    "fig13": exp.fig13_link_failure,
-    "fig14": exp.fig14_multi_link_failure,
-    "fig15": exp.fig15_throughput_with_recovery,
-    "fig16": exp.fig16_throughput_without_recovery,
-    "table17": exp.table17_correlation,
-    "fig18": exp.fig18_retransmissions,
-    "fig19": exp.fig19_bad_tcp,
-    "fig20": exp.fig20_out_of_order,
-}
 
-TAKES_REPS = {"fig5", "fig6", "fig7", "fig9", "fig10", "fig11", "fig12", "fig13", "fig14"}
+def _checked(parse: Callable[[str], object]) -> Callable[[str], object]:
+    """argparse type: ``parse`` with its ``ValueError`` reported at parse
+    time (a bad value would otherwise surface as a RemoteTraceback from
+    deep inside a pool worker)."""
+
+    def convert(value: str) -> object:
+        try:
+            return parse(value)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc))
+
+    return convert
 
 
-def _network_spec(value: str) -> str:
-    """argparse type: accept Table-8 names and generator specs, reject
-    everything else at parse time."""
-    try:
-        return validate_topology_spec(value)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc))
+_network_spec = _checked(validate_topology_spec)
+_positive_float = _checked(positive_float)
+_theta_value = _checked(theta_value)
 
 
-def _positive_float(value: str) -> float:
-    """argparse type: a strictly positive float, validated at parse time
-    (a bad value would otherwise surface as a RemoteTraceback from deep
-    inside a pool worker)."""
-    try:
-        parsed = float(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a number: {value!r}")
-    if parsed <= 0:
-        raise argparse.ArgumentTypeError(f"must be > 0 (got {parsed})")
-    return parsed
+def _cli_params(*specs: ExperimentSpec) -> List[Param]:
+    """The CLI-settable params of ``specs`` (those with a parser), a flag
+    shared between specs listed once."""
+    by_flag: Dict[str, Param] = {}
+    for spec in specs:
+        for param in spec.params:
+            if param.parse is not None:
+                by_flag.setdefault(param.cli_flag, param)
+    return list(by_flag.values())
 
 
-def _theta_value(value: str) -> int:
-    """argparse type: Θ must be >= 1, validated at parse time."""
-    try:
-        parsed = int(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {value!r}")
-    if parsed < 1:
-        raise argparse.ArgumentTypeError(f"theta must be >= 1 (got {parsed})")
-    return parsed
+def _dest(param: Param) -> str:
+    """Where a param's parsed flag lands on the argparse namespace."""
+    return param.cli_flag.lstrip("-").replace("-", "_")
+
+
+def _add_param_flags(parser: argparse.ArgumentParser, params: Iterable[Param]) -> None:
+    """Generate one flag per param, straight from the schema."""
+    for param in params:
+        parser.add_argument(
+            param.cli_flag,
+            dest=_dest(param),
+            type=_checked(param.parse),
+            default=param.default,
+            choices=param.choices,
+            help=param.help,
+        )
+
+
+def _spec_params(args: argparse.Namespace, spec: ExperimentSpec) -> Dict[str, object]:
+    """The spec's params as parsed from its generated flags.  One source
+    for the run commands (which run under these params) and ``repro
+    report`` (which must address records under the exact same params)."""
+    return {param.name: getattr(args, _dest(param)) for param in _cli_params(spec)}
 
 
 def _emit_json(doc: object, args: argparse.Namespace) -> None:
@@ -179,7 +189,7 @@ def _report_cache_stats(result, args: argparse.Namespace) -> None:
 
 def cmd_list(_args: argparse.Namespace) -> int:
     print("networks:", ", ".join(sorted(TOPOLOGY_BUILDERS)))
-    print("figures:", ", ".join(sorted(FIGURES)))
+    print("figures:", ", ".join(sorted(spec.name for spec in SECTION6)))
     print(
         "scenario topologies:",
         ", ".join(syntax for _, syntax in GENERATORS.values()),
@@ -230,21 +240,12 @@ def cmd_bootstrap(args: argparse.Namespace) -> int:
     return 0 if times else 1
 
 
-def _recover_fault_builder(kind: str):
-    """Fault builders for ``repro recover``, one per ``--fault`` choice."""
-
-    def controller(sim, rng) -> FaultPlan:
-        return FaultPlan().fail_node(sim.sim.now + 0.05, rng.choice(sim.topology.controllers))
-
-    def link(sim, rng) -> FaultPlan:
-        u, v = random_link(sim.topology, rng)
-        return FaultPlan().remove_link(sim.sim.now + 0.05, u, v)
-
-    def switch(sim, rng) -> FaultPlan:
-        victim = removable_switch(sim.topology)
-        return FaultPlan().remove_node(sim.sim.now + 0.05, victim)
-
-    return {"controller": controller, "link": link, "switch": switch}[kind]
+#: ``repro recover --fault`` choices: the Figure 10/13/12 fault builders.
+RECOVER_FAULTS = {
+    "controller": controller_fault,
+    "link": link_fault,
+    "switch": switch_fault,
+}
 
 
 def cmd_recover(args: argparse.Namespace) -> int:
@@ -255,7 +256,7 @@ def cmd_recover(args: argparse.Namespace) -> int:
         .then(
             Bootstrap(timeout=timeout),
             InjectFaults(
-                builder=_recover_fault_builder(args.fault),
+                builder=RECOVER_FAULTS[args.fault],
                 label=f"recover:{args.fault}",
             ),
             AwaitLegitimacy(timeout=timeout),
@@ -293,39 +294,56 @@ def cmd_iperf(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_traffic(args: argparse.Namespace) -> int:
-    """Run one flow-level traffic campaign through the repetition runner."""
-    return _run_campaign_command(
-        args,
-        "traffic",
-        traffic_campaign,
-        _traffic_params(args),
-        knob_summary=f"campaign={args.campaign} flows={args.flows}",
-        incomplete_message=(
-            "repetitions recorded no traffic metrics (the traffic phase "
-            f"failed or exceeded --timeout {args.timeout})"
-        ),
-    )
+def _report_result(
+    args: argparse.Namespace,
+    result: ExperimentResult,
+    trailer: str,
+    incomplete_message: Optional[str] = None,
+) -> int:
+    """The tail of every spec-running command: cache stats, JSON, rows,
+    the ``-- ...`` trailer, and the exit code.
+
+    With ``incomplete_message`` (the campaign commands, whose series are
+    untrimmed) every repetition must have produced a value: the runner
+    drops ``None`` measurements from the series, so the shortfall is
+    counted and fails the command instead of reporting a clean
+    distribution of survivors.  Without it (figure sweeps) only an
+    entirely empty result fails.
+    """
+    _report_cache_stats(result, args)
+    _emit_json(result.to_dict(), args)
+    problem = None
+    if incomplete_message is not None:
+        # One series per case: scenario/stabilize build one case, traffic
+        # builds one per metric.
+        expected = args.reps * max(1, len(result.series))
+        completed = sum(len(values) for values in result.series.values())
+        if completed < expected:
+            problem = f"{expected - completed}/{expected} {incomplete_message}"
+    elif not any(result.series.values()):
+        problem = "no data produced (all repetitions timed out?)"
+    if not _quiet(args):
+        for line in result.rows():
+            print(line)
+        print(trailer)
+        if problem:
+            print(problem)
+    return 1 if problem else 0
 
 
-def cmd_figure(args: argparse.Namespace) -> int:
-    fn = FIGURES[args.id]
-    kwargs = {"reps": args.reps} if args.id in TAKES_REPS else {}
-    if args.workers:
-        kwargs["workers"] = args.workers
-    result = fn(**kwargs)
-    for line in result.rows():
-        print(line)
-    return 0
-
-
-def cmd_sweep(args: argparse.Namespace) -> int:
-    """Run one experiment spec through the parallel repetition runner."""
-    networks = tuple(args.network) if args.network else None
-    if getattr(args, "fabric", None):
-        return _sweep_via_fabric(args, networks)
+def _run_spec_command(
+    args: argparse.Namespace,
+    name: str,
+    headline: str,
+    networks=None,
+    params: Optional[Dict[str, object]] = None,
+    incomplete_message: Optional[str] = None,
+) -> int:
+    """The one spec-running body behind ``sweep``, ``scenario``,
+    ``stabilize`` and ``traffic``: optionally profile, run the spec
+    through the repetition runner, report."""
     profiler = None
-    if getattr(args, "profile", False):
+    if args.profile:
         import cProfile
 
         # Profiling needs the work in-process and deterministic: one
@@ -338,11 +356,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if profiler is not None:
         profiler.enable()
     result = run_spec(
-        args.figure,
+        name,
         reps=args.reps,
         networks=networks,
         workers=args.workers,
         base_seed=args.seed,
+        params=params,
         store=_store_of(args),
         refresh=args.no_cache,
     )
@@ -353,20 +372,19 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         stats = pstats.Stats(profiler, stream=sys.stderr)
         stats.sort_stats("cumulative").print_stats(30)
     elapsed = time.perf_counter() - started
-    _report_cache_stats(result, args)
-    _emit_json(result.to_dict(), args)
-    if not _quiet(args):
-        for line in result.rows():
-            print(line)
-        print(
-            f"-- sweep {args.figure} reps={args.reps} seed={args.seed} "
-            f"workers={args.workers}: {elapsed:.2f} s wall"
-        )
-    if not any(result.series.values()):
-        if not _quiet(args):
-            print("no data produced (all repetitions timed out?)")
-        return 1
-    return 0
+    trailer = (
+        f"-- {headline} reps={args.reps} seed={args.seed} "
+        f"workers={args.workers}: {elapsed:.2f} s wall"
+    )
+    return _report_result(args, result, trailer, incomplete_message)
+
+
+def cmd_sweep(args: argparse.Namespace) -> int:
+    """Run one experiment spec through the parallel repetition runner."""
+    networks = tuple(args.network) if args.network else None
+    if args.fabric:
+        return _sweep_via_fabric(args, networks)
+    return _run_spec_command(args, args.figure, f"sweep {args.figure}", networks)
 
 
 def _sweep_via_fabric(args: argparse.Namespace, networks) -> int:
@@ -376,7 +394,7 @@ def _sweep_via_fabric(args: argparse.Namespace, networks) -> int:
     other hosts); the merged output is byte-identical to a serial sweep."""
     from repro.fabric import FabricError, run_fabric_campaign
 
-    if getattr(args, "profile", False):
+    if args.profile:
         print("error: --profile needs the work in-process; it cannot be "
               "combined with --fabric", file=sys.stderr)
         return 2
@@ -394,19 +412,12 @@ def _sweep_via_fabric(args: argparse.Namespace, networks) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     elapsed = time.perf_counter() - started
-    _emit_json(result.to_dict(), args)
-    if not _quiet(args):
-        for line in result.rows():
-            print(line)
-        print(
-            f"-- sweep {args.figure} reps={args.reps} seed={args.seed} "
-            f"fabric={args.fabric}: {elapsed:.2f} s wall"
-        )
-    if not any(result.series.values()):
-        if not _quiet(args):
-            print("no data produced (all repetitions timed out?)")
-        return 1
-    return 0
+    return _report_result(
+        args,
+        result,
+        f"-- sweep {args.figure} reps={args.reps} seed={args.seed} "
+        f"fabric={args.fabric}: {elapsed:.2f} s wall",
+    )
 
 
 def cmd_fabric(args: argparse.Namespace) -> int:
@@ -459,7 +470,7 @@ def cmd_fabric(args: argparse.Namespace) -> int:
     networks = tuple(args.network) if args.network else None
     started = time.perf_counter()
 
-    def _campaign() -> "exp.ExperimentResult":
+    def _campaign() -> ExperimentResult:
         return run_local_campaign(
             args.store,
             args.figure,
@@ -496,15 +507,12 @@ def cmd_fabric(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     elapsed = time.perf_counter() - started
-    _emit_json(result.to_dict(), args)
-    if not _quiet(args):
-        for line in result.rows():
-            print(line)
-        print(
-            f"-- fabric run {args.figure} reps={args.reps} seed={args.seed} "
-            f"workers={args.workers}: {elapsed:.2f} s wall"
-        )
-    return 0 if any(result.series.values()) else 1
+    return _report_result(
+        args,
+        result,
+        f"-- fabric run {args.figure} reps={args.reps} seed={args.seed} "
+        f"workers={args.workers}: {elapsed:.2f} s wall",
+    )
 
 
 def _fabric_status(store: RunStore) -> int:
@@ -585,20 +593,35 @@ def _fabric_top(store: RunStore, watch: float = 0.0) -> int:
         print()
 
 
-def _run_campaign_command(
-    args: argparse.Namespace,
-    name: str,
-    campaign_fn: Callable[..., exp.ExperimentResult],
-    params: Dict[str, object],
-    knob_summary: str,
-    incomplete_message: str,
-) -> int:
-    """Shared body of the campaign commands (``scenario``/``stabilize``):
-    fail fast on a malformed topology, run the campaign through the
-    repetition runner, report cache stats and rows, and fail loudly when
-    repetitions never converged (the runner drops their ``None``
-    measurements from the series, so count them from the survivor tally
-    instead of reporting a clean distribution of survivors)."""
+#: The campaign commands — one generated subcommand per entry, named
+#: after the spec it runs: (subcommand help, the params its ``-- ...``
+#: trailer summarizes, what a repetition without a value means).
+CAMPAIGN_COMMANDS = {
+    "scenario": (
+        "run a fault campaign on a generated topology via the repetition runner",
+        ("campaign",),
+        "repetitions never reached a legitimate configuration (bootstrap "
+        "or post-campaign re-convergence exceeded --timeout {timeout})",
+    ),
+    "stabilize": (
+        "measure convergence from an arbitrary corrupted initial state",
+        ("corruption", "scheduler"),
+        "repetitions never stabilized to a legitimate configuration "
+        "within --timeout {timeout}",
+    ),
+    "traffic": (
+        "run a flow-level tenant workload under a fault campaign",
+        ("campaign", "flows"),
+        "repetitions recorded no traffic metrics (the traffic phase "
+        "failed or exceeded --timeout {timeout})",
+    ),
+}
+
+
+def cmd_campaign(args: argparse.Namespace) -> int:
+    """``scenario`` / ``stabilize`` / ``traffic``: run the spec named by
+    the subcommand under the params parsed from its generated flags."""
+    _help, summarized, incomplete_message = CAMPAIGN_COMMANDS[args.command]
     try:
         # Without this a typo surfaces as a RemoteTraceback from inside a
         # pool worker.
@@ -606,149 +629,15 @@ def _run_campaign_command(
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    profiler = None
-    if getattr(args, "profile", False):
-        import cProfile
-
-        # Same contract as `repro sweep --profile`: the work must stay
-        # in-process and deterministic (a pool worker would escape the
-        # profiler), so one repetition, no fan-out.
-        args.reps = 1
-        args.workers = 1
-        profiler = cProfile.Profile()
-    started = time.perf_counter()
-    if profiler is not None:
-        profiler.enable()
-    result = campaign_fn(
-        reps=args.reps,
-        workers=args.workers,
-        base_seed=args.seed,
-        store=_store_of(args),
-        refresh=args.no_cache,
-        **params,
-    )
-    if profiler is not None:
-        profiler.disable()
-        import pstats
-
-        stats = pstats.Stats(profiler, stream=sys.stderr)
-        stats.sort_stats("cumulative").print_stats(30)
-    elapsed = time.perf_counter() - started
-    _report_cache_stats(result, args)
-    _emit_json(result.to_dict(), args)
-    if not _quiet(args):
-        for line in result.rows():
-            print(line)
-        print(
-            f"-- {name} {args.topology} {knob_summary} reps={args.reps} "
-            f"seed={args.seed} workers={args.workers}: {elapsed:.2f} s wall"
-        )
-    # One series per case: scenario/stabilize build one case, traffic
-    # builds one per metric — scale the expectation accordingly.
-    expected = args.reps * max(1, len(result.series))
-    completed = sum(len(values) for values in result.series.values())
-    if completed < expected:
-        if not _quiet(args):
-            print(f"{expected - completed}/{expected} {incomplete_message}")
-        return 1
-    return 0
-
-
-def cmd_scenario(args: argparse.Namespace) -> int:
-    """Run one (topology, campaign) pair through the repetition runner."""
-    return _run_campaign_command(
+    params = _spec_params(args, get_spec(args.command))
+    knobs = " ".join(f"{name}={params[name]}" for name in summarized)
+    return _run_spec_command(
         args,
-        "scenario",
-        scenario_campaign,
-        _scenario_params(args),
-        knob_summary=f"campaign={args.campaign}",
-        incomplete_message=(
-            "repetitions never reached a legitimate configuration "
-            "(bootstrap or post-campaign re-convergence exceeded "
-            f"--timeout {args.timeout})"
-        ),
+        args.command,
+        f"{args.command} {args.topology} {knobs}",
+        params=params,
+        incomplete_message=incomplete_message.format(timeout=args.timeout),
     )
-
-
-def cmd_stabilize(args: argparse.Namespace) -> int:
-    """Run one (topology, corruption, scheduler) self-stabilization
-    campaign through the repetition runner: every repetition starts from
-    an arbitrary corrupted state and must reach Definition 1."""
-    return _run_campaign_command(
-        args,
-        "stabilize",
-        stabilize_campaign,
-        _stabilize_params(args),
-        knob_summary=f"corruption={args.corruption} scheduler={args.scheduler}",
-        incomplete_message=(
-            "repetitions never stabilized to a legitimate configuration "
-            f"within --timeout {args.timeout}"
-        ),
-    )
-
-
-def _case_params(args: argparse.Namespace) -> Dict[str, object]:
-    """Knobs shared by every parametrized campaign spec."""
-    return {
-        "topology": args.topology,
-        "n_controllers": args.controllers,
-        "task_delay": args.task_delay,
-        "theta": args.theta,
-        "timeout": args.timeout,
-    }
-
-
-def _scenario_params(args: argparse.Namespace) -> Dict[str, object]:
-    """The scenario spec's params, built from the shared knob flags.
-
-    One source of truth for ``repro scenario`` (which runs under these
-    params) and ``repro report`` (which must address records under the
-    exact same params): both parsers inherit the same flag definitions,
-    and both commands build the dict here.
-    """
-    return dict(_case_params(args), campaign=args.campaign)
-
-
-def _stabilize_params(args: argparse.Namespace) -> Dict[str, object]:
-    """The stabilize spec's params (same contract as
-    :func:`_scenario_params`: shared verbatim with ``repro report``)."""
-    return dict(
-        _case_params(args), corruption=args.corruption, scheduler=args.scheduler
-    )
-
-
-def _traffic_params(args: argparse.Namespace) -> Dict[str, object]:
-    """The traffic spec's params (same contract as
-    :func:`_scenario_params`: shared verbatim with ``repro report``).
-
-    Θ is a control-plane knob the traffic spec does not consume, so it is
-    deliberately absent; the control-plane depth comes from the dedicated
-    ``--control-plane`` flag (default 0: data-plane-only fabric), not the
-    shared ``--controllers``.
-    """
-    return {
-        "topology": args.topology,
-        "campaign": args.campaign,
-        "flows": args.flows,
-        "pairs": args.pairs,
-        "duration": args.duration,
-        "ecmp": args.ecmp,
-        "n_controllers": args.control_plane,
-        "task_delay": args.task_delay,
-        "timeout": args.timeout,
-    }
-
-
-def _report_params(args: argparse.Namespace) -> Dict[str, object]:
-    """The spec params a ``repro report`` must address records under
-    (only the scenario/stabilize/traffic specs parametrize their cases)."""
-    if args.figure == "scenario":
-        return _scenario_params(args)
-    if args.figure == "stabilize":
-        return _stabilize_params(args)
-    if args.figure == "traffic":
-        return _traffic_params(args)
-    return {}
 
 
 def _report_timings(store: RunStore) -> None:
@@ -804,7 +693,7 @@ def cmd_report(args: argparse.Namespace) -> int:
         reps=args.reps,
         networks=networks,
         base_seed=args.seed,
-        params=_report_params(args),
+        params=_spec_params(args, get_spec(args.figure)),
     )
     _emit_json(result.to_dict(), args)
     if not _quiet(args):
@@ -1093,18 +982,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser("list", help="list networks and figures").set_defaults(fn=cmd_list)
 
-    # One shared parent for the run knobs every simulation-running command
-    # takes; previously --controllers/--seed/--task-delay were defined
-    # independently in `common` and `scenario_knobs` and could drift.
-    run_knobs = argparse.ArgumentParser(add_help=False)
-    run_knobs.add_argument("--controllers", type=int, default=3)
-    run_knobs.add_argument(
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument(
         "--seed", type=int, default=0,
         help="base seed; repetition i derives its randomness from (seed, i)",
     )
-    run_knobs.add_argument("--task-delay", type=_positive_float, default=0.5)
 
-    common = argparse.ArgumentParser(add_help=False, parents=[run_knobs])
+    # The single-run commands take the same --controllers/--task-delay
+    # the campaign specs declare.
+    common = argparse.ArgumentParser(add_help=False, parents=[seeded])
+    _add_param_flags(common, [CONTROLLERS_PARAM, TASK_DELAY_PARAM])
     common.add_argument(
         "--network",
         default="B4",
@@ -1124,67 +1011,23 @@ def build_parser() -> argparse.ArgumentParser:
         help="also write the serialized run record to FILE",
     )
 
-    caching = argparse.ArgumentParser(add_help=False)
-    caching.add_argument(
+    # What every spec-running command (sweep and the campaign commands)
+    # takes besides its spec's own params.
+    running = argparse.ArgumentParser(add_help=False, parents=[seeded])
+    running.add_argument(
         "--store", metavar="DIR", default=None,
         help="persist completed repetitions to (and resume from) this "
         "content-addressed run store",
     )
-    caching.add_argument(
+    running.add_argument(
         "--no-cache", action="store_true",
         help="recompute every repetition (still writes through to --store)",
     )
-
-    # Campaign case params, shared verbatim between `scenario`/`stabilize`
-    # and `report` so stored records and report lookups can never drift.
-    # Θ and the timeout are validated at parse time: a bad value would
-    # otherwise surface as a RemoteTraceback from deep inside a worker.
-    case_knobs = argparse.ArgumentParser(add_help=False)
-    case_knobs.add_argument(
-        "--topology",
-        default="jellyfish:20",
-        help="a Table-8 name or a parametric spec: "
-        + ", ".join(syntax for _, syntax in GENERATORS.values()),
-    )
-    case_knobs.add_argument("--theta", type=_theta_value, default=10)
-    case_knobs.add_argument("--timeout", type=_positive_float, default=240.0)
-
-    scenario_knobs = argparse.ArgumentParser(add_help=False)
-    scenario_knobs.add_argument("--campaign", default="churn",
-                                choices=sorted(CAMPAIGNS))
-
-    stabilize_knobs = argparse.ArgumentParser(add_help=False)
-    stabilize_knobs.add_argument(
-        "--corruption", default="mixed", choices=sorted(CORRUPTIONS),
-        help="arbitrary-initial-state corruption strategy",
-    )
-    stabilize_knobs.add_argument(
-        "--scheduler", default="none", choices=["none"] + sorted(SCHEDULERS),
-        help="bounded adversarial delivery scheduler",
-    )
-
-    profiling = argparse.ArgumentParser(add_help=False)
-    profiling.add_argument(
+    running.add_argument("--workers", type=int, default=1)
+    running.add_argument(
         "--profile", action="store_true",
-        help="cProfile the campaign in-process (forces --reps 1 --workers 1)"
-             " and print the top cumulative-time functions to stderr",
-    )
-
-    traffic_knobs = argparse.ArgumentParser(add_help=False)
-    traffic_knobs.add_argument(
-        "--flows", type=int, default=100_000,
-        help="concurrent tenant flows to generate (10^5-10^6 supported)",
-    )
-    traffic_knobs.add_argument("--pairs", type=int, default=128,
-                               help="distinct (src, dst) switch pairs")
-    traffic_knobs.add_argument("--duration", type=_positive_float, default=12.0,
-                               help="simulated seconds of traffic")
-    traffic_knobs.add_argument("--ecmp", type=int, default=4,
-                               help="max equal-cost paths per pair")
-    traffic_knobs.add_argument(
-        "--control-plane", type=int, default=0, metavar="N",
-        help="bootstrap N in-band controllers under the workload "
-        "(0 = data-plane-only fabric, the fast default)",
+        help="cProfile the run in-process (forces --reps 1 --workers 1) "
+             "and print the top cumulative-time functions to stderr",
     )
 
     boot = sub.add_parser(
@@ -1207,44 +1050,23 @@ def build_parser() -> argparse.ArgumentParser:
     iperf.add_argument("--no-recovery", action="store_true")
     iperf.set_defaults(fn=cmd_iperf)
 
-    traffic = sub.add_parser(
-        "traffic",
-        parents=[output, caching, run_knobs, case_knobs, scenario_knobs,
-                 traffic_knobs, profiling],
-        help="run a flow-level tenant workload under a fault campaign",
-    )
-    traffic.add_argument("--reps", type=int, default=1)
-    traffic.add_argument("--workers", type=int, default=1)
-    traffic.set_defaults(fn=cmd_traffic)
-
-    fig = sub.add_parser("figure", help="regenerate a paper figure/table")
-    fig.add_argument("id", choices=sorted(FIGURES))
-    fig.add_argument("--reps", type=int, default=3)
-    fig.add_argument("--workers", type=int, default=0,
-                     help="repetition worker processes (0 = library default)")
-    fig.set_defaults(fn=cmd_figure)
-
-    sweep = sub.add_parser(
-        "sweep",
-        parents=[output, caching],
-        help="run an experiment spec via the parallel repetition runner",
-    )
-    sweep.add_argument("--figure", required=True, choices=list_specs())
-    sweep.add_argument(
+    # Which slice of a figure spec `sweep` runs and `report` rebuilds.
+    selecting = argparse.ArgumentParser(add_help=False)
+    selecting.add_argument(
         "--network",
         action="append",
         choices=sorted(TOPOLOGY_BUILDERS),
         help="restrict to one network (repeatable); default: the spec's own list",
     )
-    sweep.add_argument("--reps", type=int, default=None,
-                       help="repetitions per data point (default: the spec's)")
-    sweep.add_argument("--workers", type=int, default=1)
-    sweep.add_argument("--seed", type=int, default=0,
-                       help="base seed; repetition i runs with a seed derived from (seed, i)")
-    sweep.add_argument("--profile", action="store_true",
-                       help="cProfile the sweep in-process (forces --reps 1 "
-                            "--workers 1) and print the top cumulative-time "
-                            "functions to stderr")
+    selecting.add_argument("--reps", type=int, default=None,
+                           help="repetitions per data point (default: the spec's)")
+
+    sweep = sub.add_parser(
+        "sweep",
+        parents=[output, running, selecting],
+        help="run an experiment spec via the parallel repetition runner",
+    )
+    sweep.add_argument("--figure", required=True, choices=list_specs())
     sweep.add_argument("--fabric", metavar="DIR", default=None,
                        help="submit the sweep's work units to the fabric "
                             "queue at DIR and block as the aggregator "
@@ -1303,44 +1125,33 @@ def build_parser() -> argparse.ArgumentParser:
                           "store — merge with: repro trace stitch")
     fab.set_defaults(fn=cmd_fabric)
 
-    scen = sub.add_parser(
-        "scenario",
-        parents=[output, caching, run_knobs, case_knobs, scenario_knobs,
-                 profiling],
-        help="run a fault campaign on a generated topology via the repetition runner",
-    )
-    scen.add_argument("--reps", type=int, default=8)
-    scen.add_argument("--workers", type=int, default=1)
-    scen.set_defaults(fn=cmd_scenario)
-
-    stab = sub.add_parser(
-        "stabilize",
-        parents=[output, caching, run_knobs, case_knobs, stabilize_knobs,
-                 profiling],
-        help="measure convergence from an arbitrary corrupted initial state",
-    )
-    stab.add_argument("--reps", type=int, default=8)
-    stab.add_argument("--workers", type=int, default=1)
-    stab.set_defaults(fn=cmd_stabilize)
+    # Each campaign command's flags are its spec's declared params;
+    # `report` takes the union, so stored records and report lookups are
+    # addressed under params built from one definition.
+    campaign_specs = [get_spec(name) for name in CAMPAIGN_COMMANDS]
+    for spec in campaign_specs:
+        command = sub.add_parser(
+            spec.name, parents=[output, running], help=CAMPAIGN_COMMANDS[spec.name][0]
+        )
+        params = _cli_params(spec)
+        if spec.name == "traffic":
+            # Inert here (traffic's control-plane depth is --control-plane
+            # and it consumes no Θ), but `traffic` has always accepted them.
+            params += [CONTROLLERS_PARAM, THETA_PARAM]
+        _add_param_flags(command, params)
+        command.add_argument("--reps", type=int, default=spec.default_reps)
+        command.set_defaults(fn=cmd_campaign)
 
     report = sub.add_parser(
         "report",
-        parents=[output, run_knobs, case_knobs, scenario_knobs,
-                 stabilize_knobs, traffic_knobs],
+        parents=[output, seeded, selecting],
         help="rebuild a figure/table from a run store, with zero simulation",
     )
+    _add_param_flags(report, _cli_params(*campaign_specs))
     report.add_argument("--figure", default=None, choices=list_specs(),
                         help="the spec to rebuild (required unless --timings)")
     report.add_argument("--store", metavar="DIR", required=True,
                         help="the run store a sweep/scenario wrote with --store")
-    report.add_argument(
-        "--network",
-        action="append",
-        choices=sorted(TOPOLOGY_BUILDERS),
-        help="restrict to one network (repeatable); default: the spec's own list",
-    )
-    report.add_argument("--reps", type=int, default=None,
-                        help="repetitions per data point (default: the spec's)")
     report.add_argument("--timings", action="store_true",
                         help="instead of a figure, print the per-phase "
                              "wall/CPU breakdown aggregated over every "

@@ -195,10 +195,6 @@ class RouteCache:
     ``epoch()`` is a single monotone counter bumped per published mutation
     (an O(1) read; it used to sum every table's version per lookup).
 
-    ``incremental=False`` restores the legacy epoch-clearing behaviour
-    (any mutation drops the whole memo) — kept as the baseline for the
-    probe-scaling benchmark.
-
     Invalidated ``(src, dst)`` pairs accumulate for
     :meth:`drain_dirty_pairs`, which :class:`LegitimacyChecker` uses to
     carry per-flow verdicts across probes.  Cached paths are shared —
@@ -209,11 +205,9 @@ class RouteCache:
         self,
         topology: Topology,
         switches: Dict[str, AbstractSwitch],
-        incremental: bool = True,
     ) -> None:
         self.topology = topology
         self.switches = switches
-        self.incremental = incremental
         # key -> (result, visited frozenset, node sensitivity map).  The
         # map grades, per consulted switch, which rule events of the
         # entry's header can perturb the walk there: EVENT_PRIMARY (a
@@ -291,15 +285,6 @@ class RouteCache:
         self._pending_nodes = set()
         self._pending_rules = {}
         if not self._paths:
-            return
-        if not self.incremental:
-            # Legacy baseline: one mutation anywhere drops the whole memo.
-            self.invalidations += 1
-            for key in self._paths:
-                self._dirty_pairs.add((key[0], key[1]))
-            self._paths.clear()
-            self._deps.clear()
-            self._rule_deps.clear()
             return
         paths = self._paths
         doomed: Set[Tuple] = set()

@@ -169,9 +169,11 @@ def expand_tasks(
 ) -> Tuple[ExperimentSpec, List[CaseSpec], int, List[RepetitionTask]]:
     """Expand one spec invocation into its flat repetition task list.
 
-    Shared by :func:`run_spec` and the store report aggregator — the two
-    must enumerate identical tasks so the report's lookups address the
-    exact records a sweep wrote.
+    Shared by :func:`run_spec`, the store report aggregator and the
+    fabric queue — they must enumerate identical tasks so lookups address
+    the exact records a sweep wrote.  ``params`` is validated against the
+    spec's schema here, but each task carries (and the store hashes)
+    exactly what the caller passed, not the defaults-filled form.
     """
     spec = get_spec(name)
     networks_key = tuple(networks) if networks else None
@@ -238,8 +240,9 @@ def run_spec(
     """Execute one registered experiment spec and merge its series.
 
     ``reps`` defaults to the spec's own repetition count; ``networks``
-    restricts the case list; ``params`` forwards spec-specific knobs
-    (e.g. ``controller_counts`` for fig6).  ``workers > 1`` fans the
+    restricts the case list; ``params`` overrides the spec's declared
+    parameters (e.g. ``controller_counts`` for fig6 — a name the spec
+    does not declare raises ``ValueError``).  ``workers > 1`` fans the
     repetitions out over a process pool; results are identical to
     ``workers=1`` for the same ``base_seed``.
 

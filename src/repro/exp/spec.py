@@ -140,20 +140,105 @@ class CaseSpec:
     trim: bool = True
 
 
+def positive_float(value) -> float:
+    """Param parser: a strictly positive float."""
+    try:
+        parsed = float(value)
+    except ValueError:
+        raise ValueError(f"not a number: {value!r}") from None
+    if parsed <= 0:
+        raise ValueError(f"must be > 0 (got {parsed})")
+    return parsed
+
+
+def theta_value(value) -> int:
+    """Param parser: Θ must be an integer >= 1."""
+    try:
+        parsed = int(value)
+    except ValueError:
+        raise ValueError(f"not an integer: {value!r}") from None
+    if parsed < 1:
+        raise ValueError(f"theta must be >= 1 (got {parsed})")
+    return parsed
+
+
+@dataclass(frozen=True)
+class Param:
+    """One declared parameter of an experiment spec.
+
+    ``name`` is the key callers pass in ``run_spec(params=...)`` — and
+    what the store hashes; ``default`` applies when they omit it.
+    ``parse`` turns a command-line string into a value (``ValueError`` on
+    a bad one): the CLI generates one flag per param that has a parser,
+    spelled ``--name`` unless ``flag`` says otherwise.  Params without a
+    parser (the figures' sweep lists) are library-only.
+    """
+
+    name: str
+    default: object
+    parse: Optional[Callable[[str], object]] = None
+    choices: Optional[Tuple[str, ...]] = None
+    help: Optional[str] = None
+    flag: Optional[str] = None
+
+    @property
+    def cli_flag(self) -> str:
+        return self.flag or "--" + self.name.replace("_", "-")
+
+
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """A declarative, registry-addressable experiment description."""
+    """A declarative, registry-addressable experiment description.
+
+    ``params`` is the experiment's whole parameter list; ``build_cases``
+    receives ``networks`` plus exactly those names as keyword arguments.
+    """
 
     name: str  # registry id, e.g. "fig5"
     title: str  # printed heading, e.g. "Figure 5: bootstrap time, ..."
     build_cases: Callable[..., List[CaseSpec]]
     notes: str = ""
     default_reps: int = 20
+    params: Tuple[Param, ...] = ()
+
+    def resolve(self, params: Optional[Dict[str, object]] = None) -> Dict[str, object]:
+        """The declared defaults overlaid with ``params`` — the one place
+        parameter names and choices are validated."""
+        params = dict(params or {})
+        declared = {param.name: param for param in self.params}
+        unknown = sorted(set(params) - set(declared))
+        if unknown:
+            raise ValueError(
+                f"spec {self.name!r} has no parameter {', '.join(map(repr, unknown))}; "
+                f"known: {', '.join(declared) or '(none)'}"
+            )
+        for name, value in params.items():
+            choices = declared[name].choices
+            if choices is not None and value not in choices:
+                raise ValueError(
+                    f"spec {self.name!r}: {name}={value!r} is not one of "
+                    f"{', '.join(choices)}"
+                )
+        return {**{name: param.default for name, param in declared.items()}, **params}
 
     def cases(
         self, networks: Optional[Sequence[str]] = None, **params
     ) -> List[CaseSpec]:
-        return self.build_cases(networks=networks, **params)
+        return self.build_cases(networks=networks, **self.resolve(params))
+
+
+#: The protocol knobs the campaign-style specs (``scenario``,
+#: ``stabilize``, ``traffic``) and the single-run CLI commands share —
+#: Section 6.3's task delay and Θ, declared once.
+TOPOLOGY_PARAM = Param(
+    "topology", "jellyfish:20", str,
+    help="a Table-8 name or a parametric spec such as fattree:4, "
+    "jellyfish:20x4, ring:16 (`repro list` shows every family)",
+)
+CONTROLLERS_PARAM = Param("n_controllers", 3, int, flag="--controllers")
+TASK_DELAY_PARAM = Param("task_delay", 0.5, positive_float)
+THETA_PARAM = Param("theta", 10, theta_value)
+TIMEOUT_PARAM = Param("timeout", 240.0, positive_float)
 
 
 # ---------------------------------------------------------------------------
@@ -266,198 +351,22 @@ def _networks(networks: Optional[Sequence[str]], default: Sequence[str]) -> Sequ
     return tuple(networks) if networks else tuple(default)
 
 
-# ---------------------------------------------------------------------------
-# Table 8 — network statistics
-# ---------------------------------------------------------------------------
+# -- fault builders (Figures 10-14, and ``repro recover``) -------------------
 
 
-def _table8_stat(network: str, index: int) -> List[float]:
-    topo = TOPOLOGY_BUILDERS[network]()
-    if index == 0:
-        return [float(len(topo.switches))]
-    if index == 1:
-        return [float(topo.diameter())]
-    return [float(topo.edge_connectivity())]
-
-
-def _table8_cases(networks=None, **_params) -> List[CaseSpec]:
-    cases: List[CaseSpec] = []
-    for network in TABLE8_EXPECTED:
-        if networks and network not in networks:
-            continue
-        for index, metric in enumerate(("nodes", "diameter", "edge connectivity")):
-            cases.append(
-                CaseSpec(
-                    label=f"{network} {metric}",
-                    network=network,
-                    measure=lambda s, n=network, i=index: _table8_stat(n, i),
-                    series=True,
-                )
-            )
-    return cases
-
-
-register(
-    ExperimentSpec(
-        name="table8",
-        title="Table 8: topology statistics",
-        build_cases=_table8_cases,
-        notes="paper: B4 12/5, Clos 20/4, Telstra 57/8, AT&T 172/10, EBONE 208/11",
-    )
-)
-
-
-# ---------------------------------------------------------------------------
-# Figures 5-7 — bootstrap time
-# ---------------------------------------------------------------------------
-
-
-def _fig5_cases(networks=None, **_params) -> List[CaseSpec]:
-    return [
-        CaseSpec(
-            label=network,
-            network=network,
-            measure=lambda s, n=network: _bootstrap_time(n, 3, s)[0],
-        )
-        for network in _networks(networks, ALL_NETWORKS)
-    ]
-
-
-register(
-    ExperimentSpec(
-        name="fig5",
-        title="Figure 5: bootstrap time, 3 controllers",
-        build_cases=_fig5_cases,
-        notes="paper medians roughly 5-55 s growing with network size/diameter",
-    )
-)
-
-
-def _fig6_cases(networks=None, controller_counts=(1, 3, 5, 7), **_params) -> List[CaseSpec]:
-    cases = []
-    for network in _networks(networks, ROCKETFUEL_NETWORKS):
-        for n_ctrl in controller_counts:
-            cases.append(
-                CaseSpec(
-                    label=f"{network} x{n_ctrl}",
-                    network=network,
-                    measure=lambda s, n=network, c=n_ctrl: _bootstrap_time(n, c, s)[0],
-                )
-            )
-    return cases
-
-
-register(
-    ExperimentSpec(
-        name="fig6",
-        title="Figure 6: bootstrap vs controller count",
-        build_cases=_fig6_cases,
-        notes="paper: grows with network size; mildly with controller count",
-    )
-)
-
-
-def _fig7_cases(
-    networks=None,
-    delays=(1.0, 0.9, 0.7, 0.5, 0.3, 0.1, 0.08, 0.06, 0.04, 0.02, 0.005),
-    n_controllers=7,
-    **_params,
-) -> List[CaseSpec]:
-    cases = []
-    for network in _networks(networks, ALL_NETWORKS):
-        for delay in delays:
-            cases.append(
-                CaseSpec(
-                    label=f"{network} d={delay}",
-                    network=network,
-                    measure=lambda s, n=network, d=delay, c=n_controllers: _bootstrap_time(
-                        n, c, s, task_delay=d
-                    )[0],
-                )
-            )
-    return cases
-
-
-register(
-    ExperimentSpec(
-        name="fig7",
-        title="Figure 7: bootstrap vs task delay",
-        build_cases=_fig7_cases,
-        notes=(
-            "paper: proportional to the delay until congestion raises the small-"
-            "delay end; the simulator has no queueing so the small-delay end "
-            "flattens instead of peaking"
-        ),
-        default_reps=5,
-    )
-)
-
-
-# ---------------------------------------------------------------------------
-# Figure 9 — communication overhead
-# ---------------------------------------------------------------------------
-
-
-def _fig9_measure(network: str, seed: int) -> Optional[float]:
-    n_ctrl = 3 if network in SMALL_NETWORKS else 7
-    t, result = _bootstrap_time(network, n_ctrl, seed)
-    if t is None:
-        return None
-    return result.metrics["max_load_per_node_per_iteration"]
-
-
-def _fig9_cases(networks=None, **_params) -> List[CaseSpec]:
-    return [
-        CaseSpec(
-            label=network,
-            network=network,
-            measure=lambda s, n=network: _fig9_measure(n, s),
-        )
-        for network in _networks(networks, ALL_NETWORKS)
-    ]
-
-
-register(
-    ExperimentSpec(
-        name="fig9",
-        title="Figure 9: communication cost per node",
-        build_cases=_fig9_cases,
-        notes="paper: ~5-25 messages per node per iteration, similar across networks",
-    )
-)
-
-
-# ---------------------------------------------------------------------------
-# Figures 10-14 — recovery from benign failures
-# ---------------------------------------------------------------------------
-
-
-def _controller_fault(sim: NetworkSimulation, rng: random.Random) -> FaultPlan:
+def controller_fault(sim: NetworkSimulation, rng: random.Random) -> FaultPlan:
     victim = rng.choice(sim.topology.controllers)
     return FaultPlan().fail_node(sim.sim.now + 0.05, victim)
 
 
-def _fig10_cases(networks=None, **_params) -> List[CaseSpec]:
-    return [
-        CaseSpec(
-            label=network,
-            network=network,
-            measure=lambda s, n=network: _recovery_time(
-                n, 3, s, _controller_fault, "controller_fault"
-            ),
-        )
-        for network in _networks(networks, ALL_NETWORKS)
-    ]
+def switch_fault(sim: NetworkSimulation, rng: random.Random) -> FaultPlan:
+    victim = removable_switch(sim.topology, rng)
+    return FaultPlan().remove_node(sim.sim.now + 0.05, victim)
 
 
-register(
-    ExperimentSpec(
-        name="fig10",
-        title="Figure 10: recovery after controller fail-stop",
-        build_cases=_fig10_cases,
-        notes="paper: O(D) — a few seconds, well below bootstrap time",
-    )
-)
+def link_fault(sim: NetworkSimulation, rng: random.Random) -> FaultPlan:
+    u, v = random_link(sim.topology, rng, protect_connectivity=True)
+    return FaultPlan().remove_link(sim.sim.now + 0.05, u, v)
 
 
 def _multi_controller_fault(kill: int):
@@ -469,89 +378,6 @@ def _multi_controller_fault(kill: int):
         return plan
 
     return fault
-
-
-def _fig11_cases(networks=None, kill_counts=(1, 2, 3, 4, 5, 6), **_params) -> List[CaseSpec]:
-    cases = []
-    for network in _networks(networks, ROCKETFUEL_NETWORKS):
-        for kill in kill_counts:
-            cases.append(
-                CaseSpec(
-                    label=f"{network} kill={kill}",
-                    network=network,
-                    measure=lambda s, n=network, k=kill: _recovery_time(
-                        n, 7, s, _multi_controller_fault(k),
-                        f"multi_controller_fault:{k}",
-                    ),
-                )
-            )
-    return cases
-
-
-register(
-    ExperimentSpec(
-        name="fig11",
-        title="Figure 11: recovery after multi-controller fail-stop",
-        build_cases=_fig11_cases,
-        notes="paper: no clear relation between kill count and recovery time",
-    )
-)
-
-
-def _switch_fault(sim: NetworkSimulation, rng: random.Random) -> FaultPlan:
-    victim = removable_switch(sim.topology, rng)
-    return FaultPlan().remove_node(sim.sim.now + 0.05, victim)
-
-
-def _fig12_cases(networks=None, **_params) -> List[CaseSpec]:
-    return [
-        CaseSpec(
-            label=network,
-            network=network,
-            measure=lambda s, n=network: _recovery_time(
-                n, 3, s, _switch_fault, "switch_fault"
-            ),
-        )
-        for network in _networks(networks, ALL_NETWORKS)
-    ]
-
-
-register(
-    ExperimentSpec(
-        name="fig12",
-        title="Figure 12: recovery after switch failure",
-        build_cases=_fig12_cases,
-        notes="paper: O(D), grows with diameter, large variance",
-    )
-)
-
-
-def _link_fault(sim: NetworkSimulation, rng: random.Random) -> FaultPlan:
-    u, v = random_link(sim.topology, rng, protect_connectivity=True)
-    return FaultPlan().remove_link(sim.sim.now + 0.05, u, v)
-
-
-def _fig13_cases(networks=None, **_params) -> List[CaseSpec]:
-    return [
-        CaseSpec(
-            label=network,
-            network=network,
-            measure=lambda s, n=network: _recovery_time(
-                n, 3, s, _link_fault, "link_fault"
-            ),
-        )
-        for network in _networks(networks, ALL_NETWORKS)
-    ]
-
-
-register(
-    ExperimentSpec(
-        name="fig13",
-        title="Figure 13: recovery after link failure",
-        build_cases=_fig13_cases,
-        notes="paper: O(D)",
-    )
-)
 
 
 def _multi_link_fault(count: int):
@@ -575,87 +401,90 @@ def _multi_link_fault(count: int):
     return fault
 
 
-def _fig14_cases(networks=None, fail_counts=(2, 4, 6), **_params) -> List[CaseSpec]:
-    cases = []
-    for network in _networks(networks, ALL_NETWORKS):
-        for count in fail_counts:
-            cases.append(
-                CaseSpec(
-                    label=f"{network} k={count}",
-                    network=network,
-                    measure=lambda s, n=network, k=count: _recovery_time(
-                        n, 3, s, _multi_link_fault(k), f"multi_link_fault:{k}"
-                    ),
-                )
-            )
-    return cases
+# -- case builders -----------------------------------------------------------
 
 
-register(
-    ExperimentSpec(
-        name="fig14",
-        title="Figure 14: recovery after multiple link failures",
-        build_cases=_fig14_cases,
-        notes="paper: failure count does not significantly change recovery time",
-    )
-)
-
-
-# ---------------------------------------------------------------------------
-# Figures 15/16, Table 17, Figures 18-20 — traffic under failure
-# ---------------------------------------------------------------------------
-
-
-def _traffic_series_cases(
-    networks: Optional[Sequence[str]],
+def _per_network(
     default: Sequence[str],
-    extract: Callable[[str, int], List[float]],
-) -> List[CaseSpec]:
+    measure: Callable[[str, int], Measurement],
+    series: bool = False,
+):
+    """Case builder: one label per network, ``measure(network, seed)``."""
+
+    def build(networks=None) -> List[CaseSpec]:
+        return [
+            CaseSpec(
+                label=network,
+                network=network,
+                measure=lambda s, n=network: measure(n, s),
+                series=series,
+            )
+            for network in _networks(networks, default)
+        ]
+
+    return build
+
+
+def _per_network_value(
+    default: Sequence[str],
+    swept: str,
+    label: str,
+    measure: Callable[..., Measurement],
+):
+    """Case builder: one label per (network, value of the ``swept``
+    param), ``measure(network, value, seed, **the spec's other params)``."""
+
+    def build(networks=None, **params) -> List[CaseSpec]:
+        values = params.pop(swept)
+        return [
+            CaseSpec(
+                label=label.format(network, value),
+                network=network,
+                measure=lambda s, n=network, v=value: measure(n, v, s, **params),
+            )
+            for network in _networks(networks, default)
+            for value in values
+        ]
+
+    return build
+
+
+def _table8_cases(networks=None) -> List[CaseSpec]:
+    stats = (
+        ("nodes", lambda topo: len(topo.switches)),
+        ("diameter", lambda topo: topo.diameter()),
+        ("edge connectivity", lambda topo: topo.edge_connectivity()),
+    )
     return [
         CaseSpec(
-            label=network,
+            label=f"{network} {metric}",
             network=network,
-            measure=lambda s, n=network: extract(n, s),
+            measure=lambda s, n=network, f=stat: [float(f(TOPOLOGY_BUILDERS[n]()))],
             series=True,
         )
-        for network in _networks(networks, default)
+        for network in TABLE8_EXPECTED
+        if not networks or network in networks
+        for metric, stat in stats
     ]
 
 
-def _fig15_cases(networks=None, **_params) -> List[CaseSpec]:
-    return _traffic_series_cases(
-        networks,
-        ALL_NETWORKS,
-        lambda n, s: _traffic_stats(n, recovery=True).throughput_series(),
-    )
+def _fig9_measure(network: str, seed: int) -> Optional[float]:
+    n_ctrl = 3 if network in SMALL_NETWORKS else 7
+    t, result = _bootstrap_time(network, n_ctrl, seed)
+    if t is None:
+        return None
+    return result.metrics["max_load_per_node_per_iteration"]
 
 
-register(
-    ExperimentSpec(
-        name="fig15",
-        title="Figure 15: throughput with recovery",
-        build_cases=_fig15_cases,
-        notes="series are per-second Mbit/s; expect one valley at second 10",
-    )
-)
+def _recovery(fault_builder, label: str):
+    """``measure(network, seed)`` of one single-fault recovery figure."""
+    return lambda n, s: _recovery_time(n, 3, s, fault_builder, label)
 
 
-def _fig16_cases(networks=None, **_params) -> List[CaseSpec]:
-    return _traffic_series_cases(
-        networks,
-        ALL_NETWORKS,
-        lambda n, s: _traffic_stats(n, recovery=False).throughput_series(),
-    )
-
-
-register(
-    ExperimentSpec(
-        name="fig16",
-        title="Figure 16: throughput without recovery",
-        build_cases=_fig16_cases,
-        notes="paper: nearly identical to Figure 15",
-    )
-)
+def _traffic_series(recovery: bool, series: Callable[[TrafficStats], List[float]]):
+    """``measure(network, seed)`` extracting one per-second series of the
+    (deterministic, seed-independent) single-pair traffic run."""
+    return lambda n, s: series(_traffic_stats(n, recovery=recovery))
 
 
 def _table17_measure(network: str, seed: int) -> List[float]:
@@ -664,88 +493,189 @@ def _table17_measure(network: str, seed: int) -> List[float]:
     return [pearson(with_rec, without)]
 
 
-def _table17_cases(networks=None, **_params) -> List[CaseSpec]:
-    return _traffic_series_cases(networks, TABLE17_NETWORKS, _table17_measure)
+# ---------------------------------------------------------------------------
+# Section 6, one row per figure/table
+# ---------------------------------------------------------------------------
 
-
-register(
+SECTION6: Tuple[ExperimentSpec, ...] = (
     ExperimentSpec(
-        name="table17",
-        title="Table 17: recovery vs no-recovery correlation",
-        build_cases=_table17_cases,
+        "table8",
+        "Table 8: topology statistics",
+        _table8_cases,
+        notes="paper: B4 12/5, Clos 20/4, Telstra 57/8, AT&T 172/10, EBONE 208/11",
+    ),
+    ExperimentSpec(
+        "fig5",
+        "Figure 5: bootstrap time, 3 controllers",
+        _per_network(ALL_NETWORKS, lambda n, s: _bootstrap_time(n, 3, s)[0]),
+        notes="paper medians roughly 5-55 s growing with network size/diameter",
+    ),
+    ExperimentSpec(
+        "fig6",
+        "Figure 6: bootstrap vs controller count",
+        _per_network_value(
+            ROCKETFUEL_NETWORKS, "controller_counts", "{} x{}",
+            lambda n, c, s: _bootstrap_time(n, c, s)[0],
+        ),
+        notes="paper: grows with network size; mildly with controller count",
+        params=(Param("controller_counts", (1, 3, 5, 7)),),
+    ),
+    ExperimentSpec(
+        "fig7",
+        "Figure 7: bootstrap vs task delay",
+        _per_network_value(
+            ALL_NETWORKS, "delays", "{} d={}",
+            lambda n, d, s, n_controllers: _bootstrap_time(
+                n, n_controllers, s, task_delay=d
+            )[0],
+        ),
+        notes=(
+            "paper: proportional to the delay until congestion raises the small-"
+            "delay end; the simulator has no queueing so the small-delay end "
+            "flattens instead of peaking"
+        ),
+        default_reps=5,
+        params=(
+            Param("delays", (1.0, 0.9, 0.7, 0.5, 0.3, 0.1, 0.08, 0.06, 0.04, 0.02, 0.005)),
+            Param("n_controllers", 7),
+        ),
+    ),
+    ExperimentSpec(
+        "fig9",
+        "Figure 9: communication cost per node",
+        _per_network(ALL_NETWORKS, _fig9_measure),
+        notes="paper: ~5-25 messages per node per iteration, similar across networks",
+    ),
+    ExperimentSpec(
+        "fig10",
+        "Figure 10: recovery after controller fail-stop",
+        _per_network(ALL_NETWORKS, _recovery(controller_fault, "controller_fault")),
+        notes="paper: O(D) — a few seconds, well below bootstrap time",
+    ),
+    ExperimentSpec(
+        "fig11",
+        "Figure 11: recovery after multi-controller fail-stop",
+        _per_network_value(
+            ROCKETFUEL_NETWORKS, "kill_counts", "{} kill={}",
+            lambda n, k, s: _recovery_time(
+                n, 7, s, _multi_controller_fault(k), f"multi_controller_fault:{k}"
+            ),
+        ),
+        notes="paper: no clear relation between kill count and recovery time",
+        params=(Param("kill_counts", (1, 2, 3, 4, 5, 6)),),
+    ),
+    ExperimentSpec(
+        "fig12",
+        "Figure 12: recovery after switch failure",
+        _per_network(ALL_NETWORKS, _recovery(switch_fault, "switch_fault")),
+        notes="paper: O(D), grows with diameter, large variance",
+    ),
+    ExperimentSpec(
+        "fig13",
+        "Figure 13: recovery after link failure",
+        _per_network(ALL_NETWORKS, _recovery(link_fault, "link_fault")),
+        notes="paper: O(D)",
+    ),
+    ExperimentSpec(
+        "fig14",
+        "Figure 14: recovery after multiple link failures",
+        _per_network_value(
+            ALL_NETWORKS, "fail_counts", "{} k={}",
+            lambda n, k, s: _recovery_time(
+                n, 3, s, _multi_link_fault(k), f"multi_link_fault:{k}"
+            ),
+        ),
+        notes="paper: failure count does not significantly change recovery time",
+        params=(Param("fail_counts", (2, 4, 6)),),
+    ),
+    ExperimentSpec(
+        "fig15",
+        "Figure 15: throughput with recovery",
+        _per_network(
+            ALL_NETWORKS,
+            _traffic_series(True, TrafficStats.throughput_series),
+            series=True,
+        ),
+        notes="series are per-second Mbit/s; expect one valley at second 10",
+    ),
+    ExperimentSpec(
+        "fig16",
+        "Figure 16: throughput without recovery",
+        _per_network(
+            ALL_NETWORKS,
+            _traffic_series(False, TrafficStats.throughput_series),
+            series=True,
+        ),
+        notes="paper: nearly identical to Figure 15",
+    ),
+    ExperimentSpec(
+        "table17",
+        "Table 17: recovery vs no-recovery correlation",
+        _per_network(TABLE17_NETWORKS, _table17_measure, series=True),
         notes="paper: 0.92-0.96",
-    )
-)
-
-
-def _fig18_cases(networks=None, **_params) -> List[CaseSpec]:
-    return _traffic_series_cases(
-        networks,
-        ALL_NETWORKS,
-        lambda n, s: _traffic_stats(n, recovery=True).retransmission_series(),
-    )
-
-
-register(
+    ),
     ExperimentSpec(
-        name="fig18",
-        title="Figure 18: retransmission rate",
-        build_cases=_fig18_cases,
+        "fig18",
+        "Figure 18: retransmission rate",
+        _per_network(
+            ALL_NETWORKS,
+            _traffic_series(True, TrafficStats.retransmission_series),
+            series=True,
+        ),
         notes="paper: <1% baseline, 10-15% spike after the failure, fast decay",
-    )
-)
-
-
-def _fig19_cases(networks=None, **_params) -> List[CaseSpec]:
-    return _traffic_series_cases(
-        networks,
-        ALL_NETWORKS,
-        lambda n, s: _traffic_stats(n, recovery=True).bad_tcp_series(),
-    )
-
-
-register(
+    ),
     ExperimentSpec(
-        name="fig19",
-        title="Figure 19: BAD TCP flags",
-        build_cases=_fig19_cases,
+        "fig19",
+        "Figure 19: BAD TCP flags",
+        _per_network(
+            ALL_NETWORKS,
+            _traffic_series(True, TrafficStats.bad_tcp_series),
+            series=True,
+        ),
         notes="paper: spike to 10-18% at the failure second",
-    )
-)
-
-
-def _fig20_cases(networks=None, **_params) -> List[CaseSpec]:
-    return _traffic_series_cases(
-        networks,
-        ALL_NETWORKS,
-        lambda n, s: _traffic_stats(n, recovery=True).out_of_order_series(),
-    )
-
-
-register(
+    ),
     ExperimentSpec(
-        name="fig20",
-        title="Figure 20: out-of-order packets",
-        build_cases=_fig20_cases,
+        "fig20",
+        "Figure 20: out-of-order packets",
+        _per_network(
+            ALL_NETWORKS,
+            _traffic_series(True, TrafficStats.out_of_order_series),
+            series=True,
+        ),
         notes="paper: much smaller presence, up to ~3%",
-    )
+    ),
 )
+
+for _spec in SECTION6:
+    register(_spec)
 
 
 __all__ = [
     "ALL_NETWORKS",
+    "CONTROLLERS_PARAM",
     "CaseSpec",
     "ExperimentResult",
     "ExperimentSpec",
     "Measurement",
+    "Param",
     "ROCKETFUEL_NETWORKS",
+    "SECTION6",
     "SMALL_NETWORKS",
     "SPECS",
     "TABLE17_NETWORKS",
+    "TASK_DELAY_PARAM",
     "THETA",
+    "THETA_PARAM",
     "TIMEOUT",
+    "TIMEOUT_PARAM",
+    "TOPOLOGY_PARAM",
+    "controller_fault",
     "get_spec",
+    "link_fault",
     "list_specs",
+    "positive_float",
     "register",
+    "switch_fault",
+    "theta_value",
     "trimmed",
 ]

@@ -21,7 +21,7 @@ import time
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Union
 
-from repro.exp.spec import ExperimentResult
+from repro.exp.spec import ExperimentResult, get_spec
 from repro.obs.telemetry import active as active_telemetry
 from repro.fabric.queue import CampaignRequest, FabricError, WorkQueue
 from repro.fabric.worker import DEFAULT_POLL, worker_main
@@ -42,7 +42,13 @@ def submit_campaign(
     params: Optional[Dict[str, Any]] = None,
     queue: Optional[WorkQueue] = None,
 ) -> CampaignRequest:
-    """Publish one campaign to the store's queue and return its request."""
+    """Publish one campaign to the store's queue and return its request.
+
+    Unknown spec names and params raise here, before anything is
+    published — a malformed campaign would otherwise fail inside every
+    worker that picks it up.
+    """
+    get_spec(name).resolve(params)
     queue = queue or WorkQueue(_as_store(store))
     request = CampaignRequest(
         name=name,

@@ -29,11 +29,12 @@ from collections import Counter
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Tuple
 
+from repro.api import resolve_topology
 from repro.exp.seeding import fault_rng
 from repro.obs.explain import explain_rerun
 from repro.obs.telemetry import Telemetry, use_telemetry
 from repro.scenarios.campaigns import CAMPAIGNS, build_campaign
-from repro.scenarios.spec import build_scenario_simulation, measure_campaign_recovery
+from repro.scenarios.spec import campaign_run_plan
 from repro.sim.faults import FaultPlan
 
 #: Small-but-varied topology pool: every generator family at sizes where a
@@ -90,14 +91,10 @@ def generate_cases(n: int, base_seed: int = 0) -> List[ConvergenceCase]:
 
 def campaign_plan(case: ConvergenceCase) -> FaultPlan:
     """The exact fault schedule the case injects (relative clock)."""
-    sim = build_scenario_simulation(
-        case.topology,
-        case.seed,
-        n_controllers=FAST_SETTINGS["n_controllers"],
-        task_delay=FAST_SETTINGS["task_delay"],
-        theta=FAST_SETTINGS["theta"],
+    topology = resolve_topology(
+        case.topology, controllers=FAST_SETTINGS["n_controllers"], seed=case.seed
     )
-    return build_campaign(case.campaign, sim.topology, fault_rng(case.seed))
+    return build_campaign(case.campaign, topology, fault_rng(case.seed))
 
 
 def check_case(
@@ -105,9 +102,9 @@ def check_case(
 ) -> Optional[float]:
     """Recovery seconds after the campaign's last action, or ``None`` on
     non-convergence — the property under test is "never ``None``"."""
-    return measure_campaign_recovery(
+    return campaign_run_plan(
         case.topology, case.campaign, case.seed, plan=plan, **FAST_SETTINGS
-    )
+    ).run().recovery_time
 
 
 _RECOVER_OF = {"fail_link": "recover_link", "fail_node": "recover_node"}

@@ -19,35 +19,20 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-from repro.api import (
-    AwaitLegitimacy,
-    Bootstrap,
-    InjectFaults,
-    RunPlan,
-    RunResult,
-    build_simulation,
+from repro.api import AwaitLegitimacy, Bootstrap, InjectFaults, RunPlan
+from repro.exp.spec import (
+    CONTROLLERS_PARAM,
+    TASK_DELAY_PARAM,
+    THETA_PARAM,
+    TIMEOUT_PARAM,
+    TOPOLOGY_PARAM,
+    CaseSpec,
+    ExperimentSpec,
+    Param,
+    register,
 )
-from repro.exp.spec import CaseSpec, ExperimentSpec, register
-from repro.scenarios.campaigns import build_campaign
+from repro.scenarios.campaigns import CAMPAIGNS, build_campaign
 from repro.sim.faults import FaultPlan
-from repro.sim.network_sim import NetworkSimulation
-
-
-def build_scenario_simulation(
-    topology: str,
-    seed: int,
-    n_controllers: int = 3,
-    task_delay: float = 0.5,
-    theta: int = 10,
-) -> NetworkSimulation:
-    """One scenario repetition's simulation, pure in ``(topology, seed)``."""
-    return build_simulation(
-        topology,
-        controllers=n_controllers,
-        seed=seed,
-        task_delay=task_delay,
-        theta=theta,
-    )
 
 
 def campaign_run_plan(
@@ -91,63 +76,7 @@ def campaign_run_plan(
     )
 
 
-def run_campaign(
-    topology: str,
-    campaign: str,
-    seed: int,
-    n_controllers: int = 3,
-    task_delay: float = 0.5,
-    theta: int = 10,
-    timeout: float = 240.0,
-    plan: Optional[FaultPlan] = None,
-) -> RunResult:
-    """Execute one scenario repetition and return its full run record."""
-    return campaign_run_plan(
-        topology,
-        campaign,
-        seed,
-        n_controllers=n_controllers,
-        task_delay=task_delay,
-        theta=theta,
-        timeout=timeout,
-        plan=plan,
-    ).run()
-
-
-def measure_campaign_recovery(
-    topology: str,
-    campaign: str,
-    seed: int,
-    n_controllers: int = 3,
-    task_delay: float = 0.5,
-    theta: int = 10,
-    timeout: float = 240.0,
-    plan: Optional[FaultPlan] = None,
-) -> Optional[float]:
-    """Recovery time from the campaign's last action to legitimacy, or
-    ``None`` if bootstrap or re-convergence times out."""
-    return run_campaign(
-        topology,
-        campaign,
-        seed,
-        n_controllers=n_controllers,
-        task_delay=task_delay,
-        theta=theta,
-        timeout=timeout,
-        plan=plan,
-    ).recovery_time
-
-
-def _scenario_cases(
-    networks=None,
-    topology: str = "jellyfish:20",
-    campaign: str = "churn",
-    n_controllers: int = 3,
-    task_delay: float = 0.5,
-    theta: int = 10,
-    timeout: float = 240.0,
-    **_params,
-) -> List[CaseSpec]:
+def _scenario_cases(networks, topology, campaign, **knobs) -> List[CaseSpec]:
     label = f"{topology} {campaign}"
     if networks and topology not in networks and label not in networks:
         return []
@@ -155,15 +84,11 @@ def _scenario_cases(
         CaseSpec(
             label=label,
             network=topology,
-            measure=lambda s: measure_campaign_recovery(
-                topology,
-                campaign,
-                s,
-                n_controllers=n_controllers,
-                task_delay=task_delay,
-                theta=theta,
-                timeout=timeout,
-            ),
+            # Recovery time from the campaign's last action to legitimacy,
+            # or None if bootstrap or re-convergence times out.
+            measure=lambda s: campaign_run_plan(
+                topology, campaign, s, **knobs
+            ).run().recovery_time,
             # The paper's drop-two-extrema protocol suits figure
             # regeneration; exploratory campaigns exist to surface the
             # worst-case tail, so keep every repetition.
@@ -171,6 +96,8 @@ def _scenario_cases(
         )
     ]
 
+
+CAMPAIGN_PARAM = Param("campaign", "churn", str, choices=tuple(sorted(CAMPAIGNS)))
 
 register(
     ExperimentSpec(
@@ -182,13 +109,16 @@ register(
             "legitimate configuration (Definition 1)"
         ),
         default_reps=8,
+        params=(
+            TOPOLOGY_PARAM,
+            CAMPAIGN_PARAM,
+            CONTROLLERS_PARAM,
+            TASK_DELAY_PARAM,
+            THETA_PARAM,
+            TIMEOUT_PARAM,
+        ),
     )
 )
 
 
-__all__ = [
-    "build_scenario_simulation",
-    "campaign_run_plan",
-    "measure_campaign_recovery",
-    "run_campaign",
-]
+__all__ = ["CAMPAIGN_PARAM", "campaign_run_plan"]

@@ -74,8 +74,9 @@ class SimulationConfig:
     renaissance: Optional[RenaissanceConfig] = None
     out_of_band: bool = False
     reliable_channels: bool = False
-    #: Memoize in-band route resolution behind an epoch-validated cache
-    #: (identical routes, large speedup on the bigger networks).
+    #: Memoize in-band route resolution in a dependency-tracked cache
+    #: (:class:`~repro.core.legitimacy.RouteCache`: identical routes, large
+    #: speedup on the bigger networks).
     route_cache: bool = True
     #: Named adversarial delivery scheduler (a registry key of
     #: :data:`repro.adversary.schedulers.SCHEDULERS`), or ``None`` for the

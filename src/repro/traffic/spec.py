@@ -22,8 +22,18 @@ from __future__ import annotations
 import math
 from typing import List, Optional
 
-from repro.api import Bootstrap, RunPlan, RunResult, Traffic
-from repro.exp.spec import CaseSpec, ExperimentSpec, register
+from repro.api import Bootstrap, RunPlan, Traffic
+from repro.exp.spec import (
+    TASK_DELAY_PARAM,
+    TIMEOUT_PARAM,
+    TOPOLOGY_PARAM,
+    CaseSpec,
+    ExperimentSpec,
+    Param,
+    positive_float,
+    register,
+)
+from repro.scenarios.spec import CAMPAIGN_PARAM
 from repro.traffic.workload import WorkloadSpec
 
 #: metric label → key into the run's traffic metrics block.
@@ -62,82 +72,29 @@ def traffic_run_plan(
     return plan.then(phase)
 
 
-def run_traffic(
-    topology: str,
-    seed: int,
-    flows: int = 100_000,
-    pairs: int = 128,
-    campaign: Optional[str] = "churn",
-    duration: float = 12.0,
-    ecmp: int = 4,
-    n_controllers: int = 0,
-    task_delay: float = 0.5,
-    timeout: float = 240.0,
-) -> RunResult:
-    """Execute one traffic repetition and return its full run record."""
-    return traffic_run_plan(
-        topology,
-        seed,
-        flows=flows,
-        pairs=pairs,
-        campaign=campaign,
-        duration=duration,
-        ecmp=ecmp,
-        n_controllers=n_controllers,
-        task_delay=task_delay,
-        timeout=timeout,
-    ).run()
-
-
-def measure_traffic_metric(metric: str, **kwargs) -> float:
-    """One repetition's value of the named traffic metric (NaN when the
-    run recorded no value — e.g. a percentile with zero completions)."""
-    key = TRAFFIC_METRICS[metric]
-    result = run_traffic(**kwargs)
-    block = result.traffic or {}
-    value = block.get(key)
-    return float(value) if value is not None else math.nan
-
-
-def _traffic_cases(
-    networks=None,
-    topology: str = "jellyfish:200",
-    campaign: str = "churn",
-    flows: int = 100_000,
-    pairs: int = 128,
-    duration: float = 12.0,
-    ecmp: int = 4,
-    n_controllers: int = 0,
-    task_delay: float = 0.5,
-    timeout: float = 240.0,
-    **_params,
-) -> List[CaseSpec]:
+def _traffic_cases(networks, topology, campaign, **knobs) -> List[CaseSpec]:
     if networks and topology not in networks and not any(
         str(n).startswith(topology) for n in networks
     ):
         return []
 
-    def case(metric: str) -> CaseSpec:
-        return CaseSpec(
+    def measure(metric: str, seed: int) -> float:
+        """One repetition's value of the named traffic metric (NaN when
+        the run recorded no value — e.g. a percentile with zero
+        completions)."""
+        result = traffic_run_plan(topology, seed, campaign=campaign, **knobs).run()
+        value = (result.traffic or {}).get(TRAFFIC_METRICS[metric])
+        return float(value) if value is not None else math.nan
+
+    return [
+        CaseSpec(
             label=f"{topology} {campaign} {metric}",
             network=topology,
-            measure=lambda s: measure_traffic_metric(
-                metric,
-                topology=topology,
-                seed=s,
-                flows=flows,
-                pairs=pairs,
-                campaign=campaign,
-                duration=duration,
-                ecmp=ecmp,
-                n_controllers=n_controllers,
-                task_delay=task_delay,
-                timeout=timeout,
-            ),
+            measure=lambda s, m=metric: measure(m, s),
             trim=False,
         )
-
-    return [case(metric) for metric in TRAFFIC_METRICS]
+        for metric in TRAFFIC_METRICS
+    ]
 
 
 register(
@@ -151,13 +108,28 @@ register(
             "workload on the installed rule set"
         ),
         default_reps=1,
+        params=(
+            TOPOLOGY_PARAM,
+            CAMPAIGN_PARAM,
+            Param(
+                "flows", 100_000, int,
+                help="concurrent tenant flows to generate (10^5-10^6 supported)",
+            ),
+            Param("pairs", 128, int, help="distinct (src, dst) switch pairs"),
+            Param("duration", 12.0, positive_float, help="simulated seconds of traffic"),
+            Param("ecmp", 4, int, help="max equal-cost paths per pair"),
+            # Not the shared --controllers: the default here is the
+            # data-plane-only fabric.
+            Param(
+                "n_controllers", 0, int, flag="--control-plane",
+                help="bootstrap this many in-band controllers under the "
+                "workload (0 = data-plane-only fabric, the fast default)",
+            ),
+            TASK_DELAY_PARAM,
+            TIMEOUT_PARAM,
+        ),
     )
 )
 
 
-__all__ = [
-    "TRAFFIC_METRICS",
-    "measure_traffic_metric",
-    "run_traffic",
-    "traffic_run_plan",
-]
+__all__ = ["TRAFFIC_METRICS", "traffic_run_plan"]

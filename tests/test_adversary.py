@@ -16,11 +16,7 @@ from repro.adversary.schedulers import (
     ReorderScheduler,
     make_scheduler,
 )
-from repro.adversary.spec import (
-    measure_stabilization,
-    run_stabilize,
-    stabilize_run_plan,
-)
+from repro.adversary.spec import stabilize_run_plan
 from repro.api import AwaitLegitimacy, Bootstrap, CorruptState, RunPlan, build_simulation
 from repro.exp.runner import run_spec
 from repro.sim.network_sim import SimulationConfig
@@ -191,7 +187,7 @@ def test_scheduler_is_part_of_the_plan_identity():
 
 
 def test_corrupt_state_marks_corruption_and_surfaces_accounting():
-    result = run_stabilize("ring:6", "mixed", seed=0, **FAST)
+    result = stabilize_run_plan("ring:6", "mixed", seed=0, **FAST).run()
     assert result.ok
     corrupt = result.phase("corrupt_state")
     assert corrupt is not None and corrupt.details["accounting"]["applied"]
@@ -206,10 +202,9 @@ def test_corrupt_state_marks_corruption_and_surfaces_accounting():
 def test_stabilization_and_recovery_metrics_are_distinct():
     """A fault campaign sets recovery_time but not stabilization_time;
     a corruption run does the reverse (previous test)."""
-    from repro.scenarios.spec import run_campaign
+    from repro.scenarios.spec import campaign_run_plan
 
-    result = run_campaign("ring:6", "flapping", seed=0, n_controllers=2,
-                          task_delay=0.1, theta=4, timeout=120.0)
+    result = campaign_run_plan("ring:6", "flapping", seed=0, **FAST).run()
     assert result.metrics["recovery_time"] is not None
     assert result.metrics["stabilization_time"] is None
 
@@ -218,8 +213,8 @@ def test_stabilization_and_recovery_metrics_are_distinct():
 
 
 def test_measure_stabilization_is_deterministic():
-    a = measure_stabilization("ring:6", "mixed", 3, **FAST)
-    b = measure_stabilization("ring:6", "mixed", 3, **FAST)
+    a = stabilize_run_plan("ring:6", "mixed", 3, **FAST).run().stabilization_time
+    b = stabilize_run_plan("ring:6", "mixed", 3, **FAST).run().stabilization_time
     assert a is not None and a == b
 
 
@@ -248,7 +243,9 @@ def test_stabilize_spec_resumes_from_the_store(tmp_path):
 def test_stabilize_converges_under_every_scheduler():
     for scheduler in ("none",) + tuple(sorted(SCHEDULERS)):
         assert (
-            measure_stabilization("ring:8", "mixed", 1, scheduler=scheduler, **FAST)
+            stabilize_run_plan(
+                "ring:8", "mixed", 1, scheduler=scheduler, **FAST
+            ).run().stabilization_time
             is not None
         ), scheduler
 

@@ -1,16 +1,13 @@
-"""Tests for the experiment-harness utilities (repro.analysis)."""
+"""Tests for the experiment-result utilities and the Section-6 protocol
+constants (repro.exp.spec)."""
 
-import pytest
-
-from repro.analysis.experiments import (
+from repro.exp.runner import run_spec
+from repro.exp.spec import (
     ALL_NETWORKS,
     TABLE17_NETWORKS,
     THETA,
     TIMEOUT,
     ExperimentResult,
-    table8_topologies,
-    fig15_throughput_with_recovery,
-    table17_correlation,
 )
 
 
@@ -40,13 +37,13 @@ def test_experiment_result_handles_empty_series():
 
 
 def test_table8_experiment_runs():
-    result = table8_topologies()
+    result = run_spec("table8")
     assert "B4 nodes" in result.series
     assert result.series["EBONE diameter"] == [11.0]
 
 
 def test_fig15_series_are_thirty_seconds():
-    result = fig15_throughput_with_recovery(networks=("B4",))
+    result = run_spec("fig15", networks=("B4",))
     assert len(result.series["B4"]) == 30
 
 
@@ -55,6 +52,6 @@ def test_table17_uses_papers_network_list():
 
 
 def test_table17_single_network():
-    result = table17_correlation(networks=("B4",))
+    result = run_spec("table17", networks=("B4",))
     (r,) = result.series["B4"]
     assert -1.0 <= r <= 1.0

@@ -7,7 +7,7 @@ import json
 
 import pytest
 
-from repro.adversary.spec import measure_stabilization
+from repro.adversary.spec import stabilize_run_plan
 from repro.api import Bootstrap, CorruptState, RunPlan
 from repro.obs import ProvenanceDAG, Telemetry, use_telemetry
 from repro.obs.causality import CausalEvent
@@ -159,13 +159,13 @@ def test_batch_events_link_back_to_controller_iteration():
 
 
 def test_fault_actions_carry_fault_ids():
-    from repro.scenarios.spec import measure_campaign_recovery
+    from repro.scenarios.spec import campaign_run_plan
 
     with use_telemetry(Telemetry()) as telemetry:
-        recovery = measure_campaign_recovery(
+        recovery = campaign_run_plan(
             "ring:6", "churn", 7, n_controllers=2, task_delay=0.1,
             theta=4, timeout=120.0,
-        )
+        ).run().recovery_time
     assert recovery is not None
     dag = ProvenanceDAG.from_payload(trace_payload(telemetry))
     faults = dag.find(fault_id=...)
@@ -179,10 +179,10 @@ def test_fault_actions_carry_fault_ids():
 
 def test_corruption_root_causes_adversary_events():
     with use_telemetry(Telemetry()) as telemetry:
-        measure_stabilization(
+        stabilize_run_plan(
             "jellyfish:8", "channel-garbage", 3, n_controllers=2,
             task_delay=0.1, theta=4, timeout=120.0,
-        )
+        ).run()
     dag = ProvenanceDAG.from_payload(trace_payload(telemetry))
     roots = dag.roots()
     assert len(roots) == 1
@@ -239,10 +239,10 @@ def test_causal_event_label_renders_interesting_tags():
 
 def stabilize_signature(seed):
     with use_telemetry(Telemetry()) as telemetry:
-        measure_stabilization(
+        stabilize_run_plan(
             "jellyfish:8", "mixed", seed, n_controllers=2,
             task_delay=0.1, theta=4, timeout=120.0,
-        )
+        ).run()
     dag = ProvenanceDAG.from_payload(trace_payload(telemetry))
     return dag.signature()
 

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.cli import FIGURES, build_parser, main
+from repro.cli import build_parser, main
 
 
 def test_list_command(capsys):
@@ -24,6 +24,23 @@ def test_recover_command(capsys):
     assert main(["recover", "--network", "B4", "--fault", "link"]) == 0
     out = capsys.readouterr().out
     assert "recovered in" in out
+
+
+def test_recover_switch_fault_victim_follows_the_seed(capsys):
+    """``recover --fault switch`` shares Figure 12's builder: the removed
+    switch is drawn from the run's fault stream, not fixed per topology."""
+    from repro.obs import ProvenanceDAG, Telemetry, use_telemetry
+    from repro.obs.export import trace_payload
+
+    victims = set()
+    for seed in ("0", "1"):
+        with use_telemetry(Telemetry()) as telemetry:
+            assert main(["recover", "--network", "B4", "--fault", "switch",
+                         "--seed", seed]) == 0
+        dag = ProvenanceDAG.from_payload(trace_payload(telemetry))
+        (fault,) = dag.find(fault_id=...)
+        victims.add(tuple(fault.tags["target"]))
+    assert len(victims) == 2
 
 
 def test_iperf_command(capsys):
@@ -86,19 +103,21 @@ def test_traffic_json_output(capsys):
     assert "jellyfish:12 churn goodput" in doc["series"]
 
 
-def test_figure_command_table8(capsys):
-    assert main(["figure", "table8"]) == 0
+def test_sweep_command_table8(capsys):
+    assert main(["sweep", "--figure", "table8"]) == 0
     out = capsys.readouterr().out
     assert "Table 8" in out
 
 
 def test_all_figures_registered():
+    from repro.exp.spec import SECTION6
+
     expected = {
         "table8", "fig5", "fig6", "fig7", "fig9", "fig10", "fig11",
         "fig12", "fig13", "fig14", "fig15", "fig16", "table17",
         "fig18", "fig19", "fig20",
     }
-    assert set(FIGURES) == expected
+    assert {spec.name for spec in SECTION6} == expected
 
 
 def test_parser_rejects_unknown_network():
@@ -333,3 +352,44 @@ def test_shared_knob_defaults_are_consistent():
         assert args.theta == 10
         assert args.timeout == 240.0
         assert args.topology == "jellyfish:20"
+
+
+# -- run commands and `report` address the same records ----------------------
+
+
+@pytest.mark.parametrize("argv", [
+    ["scenario", "--campaign", "flapping"],
+    ["stabilize", "--corruption", "desync-views", "--scheduler", "reorder"],
+    ["traffic", "--campaign", "mixed", "--flows", "2000", "--pairs", "16",
+     "--duration", "6", "--ecmp", "2", "--control-plane", "1"],
+])
+def test_report_hashes_the_params_the_run_command_hashes(argv, monkeypatch):
+    """Every flag a campaign command turns into a spec param, ``repro
+    report`` turns into the same param for the same argv — so a report
+    addresses exactly the records the run wrote."""
+    import repro.cli as cli
+    from repro.exp.spec import ExperimentResult, get_spec
+
+    name = argv[0]
+    flags = argv[1:] + ["--topology", "ring:8", "--timeout", "60", *SCENARIO_FAST]
+    hashed = {}
+
+    def fake_run_spec(spec_name, params=None, **_):
+        hashed["run"] = (spec_name, params)
+        return ExperimentResult(name="stub", series={"stub": [0.0]})
+
+    def fake_aggregate(_store, spec_name, params=None, **_):
+        hashed["report"] = (spec_name, params)
+        return ExperimentResult(name="stub"), []
+
+    monkeypatch.setattr(cli, "run_spec", fake_run_spec)
+    monkeypatch.setattr(cli, "aggregate", fake_aggregate)
+    assert main([name, "--reps", "1", *flags]) == 0
+    assert main(["report", "--figure", name, "--store", "unused", *flags]) == 0
+    assert hashed["run"] == hashed["report"]
+    spec_name, params = hashed["run"]
+    assert spec_name == name
+    # The parsed values arrived (not defaults), and only declared names.
+    assert params["topology"] == "ring:8" and params["timeout"] == 60.0
+    assert params["n_controllers"] == (1 if name == "traffic" else 2)
+    get_spec(name).resolve(params)

@@ -121,9 +121,43 @@ def test_default_workers_env_override(monkeypatch):
     assert default_workers() == 1
 
 
-def test_wrapper_functions_delegate_to_runner():
-    from repro.analysis.experiments import fig5_bootstrap
+def test_sweep_command_delegates_to_runner(capsys):
+    """The figure-shaped entry point is ``repro sweep``: same series as
+    the library call."""
+    import json
 
-    wrapped = fig5_bootstrap(reps=2, networks=("B4",))
+    from repro.cli import main
+
+    assert main(["sweep", "--figure", "fig5", "--network", "B4",
+                 "--reps", "2", "--json"]) == 0
+    wrapped = json.loads(capsys.readouterr().out)
     direct = run_spec("fig5", reps=2, networks=("B4",))
-    assert wrapped.series == direct.series
+    assert wrapped["series"] == direct.series
+
+
+@pytest.mark.parametrize("name, typo, known", [
+    ("fig6", "controller_count", "controller_counts"),
+    ("scenario", "campain", "campaign"),
+])
+def test_unknown_spec_param_raises_and_names_the_valid_ones(tmp_path, name, typo, known):
+    """A misspelled param must not silently run the defaults (and file the
+    result under a key containing the typo) — on any entry point."""
+    from repro.fabric import WorkQueue, submit_campaign
+    from repro.store import RunStore, aggregate
+
+    params = {typo: (1,)}
+    store = RunStore(tmp_path)
+    for call in (
+        lambda: run_spec(name, params=params),
+        lambda: aggregate(store, name, params=params),
+        lambda: submit_campaign(store, name, params=params),
+    ):
+        with pytest.raises(ValueError, match=known) as raised:
+            call()
+        assert typo in str(raised.value)
+    assert WorkQueue(store).campaigns() == []  # nothing was published
+
+
+def test_spec_param_choices_are_validated():
+    with pytest.raises(ValueError, match="churn"):
+        run_spec("scenario", params={"campaign": "tsunami"})

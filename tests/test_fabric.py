@@ -26,7 +26,7 @@ from pathlib import Path
 import pytest
 
 from repro.exp.runner import expand_tasks, measurement_identity, run_spec
-from repro.exp.spec import CaseSpec, ExperimentSpec, SPECS, register
+from repro.exp.spec import CaseSpec, ExperimentSpec, Param, SPECS, register
 from repro.fabric import (
     CampaignRequest,
     FabricError,
@@ -60,6 +60,8 @@ if "fabric-selftest" not in SPECS:
                 )
             ],
             default_reps=4,
+            # Inert: only here so a campaign request can carry params.
+            params=(Param("knob", 0.0),),
         )
     )
 
@@ -413,10 +415,10 @@ def test_dashboard_digests_the_journal(tmp_path):
 SLOW_SPEC_MODULE = """\
 import time
 
-from repro.exp.spec import CaseSpec, ExperimentSpec, SPECS, register
+from repro.exp.spec import CaseSpec, ExperimentSpec, Param, SPECS, register
 
 
-def _cases(networks=None, sleep=1.5, **_):
+def _cases(networks, sleep):
     def measure(seed, _sleep=float(sleep)):
         time.sleep(_sleep)
         return float(seed % 97)
@@ -427,7 +429,8 @@ def _cases(networks=None, sleep=1.5, **_):
 
 if "fabric-slow" not in SPECS:
     register(ExperimentSpec(name="fabric-slow", title="fabric slow selftest",
-                            build_cases=_cases, default_reps=2))
+                            build_cases=_cases, default_reps=2,
+                            params=(Param("sleep", 1.5),)))
 """
 
 

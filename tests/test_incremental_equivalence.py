@@ -129,7 +129,7 @@ def test_incremental_checker_matches_fresh_checker(seed: int) -> None:
     topology = parse_topology(spec, seed=seed)
     attach_controllers(topology, 2, seed=seed)
     sim = NetworkSimulation(topology, SimulationConfig(seed=seed))
-    assert sim.route_cache is not None and sim.route_cache.incremental
+    assert sim.route_cache is not None
 
     sim.run_for(1.0)
     _assert_equivalent(sim, rng)

@@ -2,7 +2,7 @@
 
 from repro.exp.runner import run_spec
 from repro.exp.spec import get_spec, list_specs
-from repro.scenarios.spec import build_scenario_simulation, measure_campaign_recovery
+from repro.scenarios.spec import campaign_run_plan
 from repro.sim.faults import FaultPlan
 
 FAST = {"task_delay": 0.1, "theta": 4, "n_controllers": 2}
@@ -22,22 +22,28 @@ def test_scenario_cases_default_and_filtered():
     assert len(spec.cases(networks=("ring:8",), topology="ring:8", campaign="churn")) == 1
 
 
+def _scenario_simulation(topology, seed):
+    return campaign_run_plan(topology, "churn", seed, **FAST).session().sim
+
+
+def _recovery(topology, campaign, seed, plan=None):
+    return campaign_run_plan(topology, campaign, seed, plan=plan, **FAST).run().recovery_time
+
+
 def test_build_scenario_simulation_is_seed_deterministic():
-    a = build_scenario_simulation("jellyfish:10", seed=3, **FAST)
-    b = build_scenario_simulation("jellyfish:10", seed=3, **FAST)
+    a = _scenario_simulation("jellyfish:10", seed=3)
+    b = _scenario_simulation("jellyfish:10", seed=3)
     assert a.topology.links == b.topology.links
     assert a.topology.controllers == b.topology.controllers
 
 
 def test_measure_campaign_recovery_converges():
-    recovery = measure_campaign_recovery("ring:6", "churn", seed=0, **FAST)
+    recovery = _recovery("ring:6", "churn", seed=0)
     assert recovery is not None and recovery >= 0.0
 
 
 def test_measure_with_empty_plan_is_zero():
-    recovery = measure_campaign_recovery(
-        "ring:6", "churn", seed=0, plan=FaultPlan(), **FAST
-    )
+    recovery = _recovery("ring:6", "churn", seed=0, plan=FaultPlan())
     assert recovery == 0.0
 
 
@@ -60,10 +66,9 @@ def test_scenario_seed_changes_series():
     # interval, so compare the underlying campaign schedules instead.
     from repro.exp.seeding import derive_seed, fault_rng
     from repro.scenarios.campaigns import build_campaign
-    from repro.scenarios.spec import build_scenario_simulation
 
     def plan_of(base):
-        sim = build_scenario_simulation("jellyfish:8", derive_seed(base, 0), **FAST)
+        sim = _scenario_simulation("jellyfish:8", derive_seed(base, 0))
         return build_campaign("churn", sim.topology, fault_rng(derive_seed(base, 0)))
 
     assert plan_of(0).actions != plan_of(1).actions

@@ -17,7 +17,7 @@ from repro.traffic import (
     WorkloadSpec,
     equal_cost_paths,
 )
-from repro.traffic.spec import run_traffic
+from repro.traffic.spec import traffic_run_plan
 
 
 # -- workload ----------------------------------------------------------------
@@ -204,8 +204,8 @@ def test_engine_is_deterministic():
 
 
 def test_traffic_phase_end_to_end_records_metrics():
-    result = run_traffic("jellyfish:16", seed=3, flows=2000, pairs=16,
-                         duration=6.0)
+    result = traffic_run_plan("jellyfish:16", seed=3, flows=2000, pairs=16,
+                              duration=6.0).run()
     assert result.ok
     block = result.traffic
     assert block is not None
@@ -220,16 +220,16 @@ def test_traffic_phase_end_to_end_records_metrics():
 
 
 def test_traffic_run_result_round_trips():
-    result = run_traffic("jellyfish:12", seed=1, flows=500, pairs=8,
-                         duration=4.0)
+    result = traffic_run_plan("jellyfish:12", seed=1, flows=500, pairs=8,
+                              duration=4.0).run()
     clone = RunResult.from_json(result.to_json())
     assert clone.to_json() == result.to_json()
     assert clone.traffic == result.traffic
 
 
 def test_traffic_phase_is_deterministic():
-    a = run_traffic("jellyfish:12", seed=5, flows=1000, pairs=8, duration=5.0)
-    b = run_traffic("jellyfish:12", seed=5, flows=1000, pairs=8, duration=5.0)
+    a = traffic_run_plan("jellyfish:12", seed=5, flows=1000, pairs=8, duration=5.0).run()
+    b = traffic_run_plan("jellyfish:12", seed=5, flows=1000, pairs=8, duration=5.0).run()
     assert a.to_json() == b.to_json()
 
 
@@ -247,8 +247,8 @@ def test_traffic_without_campaign_sees_no_disruptions():
 
 def test_traffic_composes_with_control_plane():
     """controllers>0: the workload rides a bootstrapped in-band fabric."""
-    result = run_traffic("jellyfish:12", seed=0, flows=300, pairs=6,
-                         duration=4.0, n_controllers=2)
+    result = traffic_run_plan("jellyfish:12", seed=0, flows=300, pairs=6,
+                              duration=4.0, n_controllers=2).run()
     assert result.ok
     assert [p.phase for p in result.phases] == ["bootstrap", "traffic"]
     assert result.traffic["goodput_mbps"] > 0
