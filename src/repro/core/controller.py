@@ -100,12 +100,14 @@ class RenaissanceController:
         new_round = self._maybe_start_round(neighbors)
         self.last_new_round = new_round
 
-        refer_tag, refer_view = self._reference_tag(neighbors)
-        updates = self._prepare_switch_updates(refer_tag, refer_view, new_round, neighbors)
-
+        # Each distinct view of this iteration is built once and handed down.
         fusion_view = build_view(
             self.cid, neighbors, self.replydb.fusion(self.curr_tag, self.prev_tag)
         )
+        prev_view = build_view(self.cid, neighbors, self.replydb.res(self.prev_tag))
+        refer_tag, refer_view = self._reference_tag(neighbors, fusion_view, prev_view)
+        updates = self._prepare_switch_updates(refer_tag, refer_view, new_round, prev_view)
+
         reachable = set(fusion_view.bfs_layers(self.cid))
         reachable.discard(self.cid)
 
@@ -189,9 +191,12 @@ class RenaissanceController:
         return observed
 
     # line 13
-    def _reference_tag(self, neighbors: Sequence[str]) -> Tuple[Tag, Topology]:
+    def _reference_tag(
+        self, neighbors: Sequence[str], fusion_view: Topology, prev_view: Topology
+    ) -> Tuple[Tag, Topology]:
         """During legal executions the reference is the completed previous
-        round; while the discovered topology is still changing it is the
+        round (``prev_view``, which then equals ``fusion_view``); while the
+        discovered topology is still changing it is the
         *current* round's fresh replies — ``G(res(currTag))``, not the
         fusion, which can still carry a stale reply from a node that died
         mid-round (line 13 / line 18 of Algorithm 2).
@@ -214,10 +219,6 @@ class RenaissanceController:
         keep planning routes through a removed switch until the bounded
         round refresh fires); the adversarial axis, whose workloads are
         pure transient corruption, opts in."""
-        fusion_view = build_view(
-            self.cid, neighbors, self.replydb.fusion(self.curr_tag, self.prev_tag)
-        )
-        prev_view = build_view(self.cid, neighbors, self.replydb.res(self.prev_tag))
         if self._same_graph(fusion_view, prev_view):
             return self.prev_tag, prev_view
         if self.config.robust_views:
@@ -264,9 +265,8 @@ class RenaissanceController:
         refer_tag: Tag,
         refer_view: Topology,
         new_round: bool,
-        neighbors: Sequence[str],
+        prev_view: Topology,
     ) -> Dict[str, CommandBatch]:
-        prev_view = build_view(self.cid, neighbors, self.replydb.res(self.prev_tag))
         reachable_prev = set(prev_view.bfs_layers(self.cid))
 
         updates: Dict[str, CommandBatch] = {}

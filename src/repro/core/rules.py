@@ -6,16 +6,18 @@ the controller to every reachable node and materializes them as per-switch
 :class:`~repro.switch.flow_table.Rule` sets, tagged with the current
 synchronization round.
 
-The computation is cached per (view signature, tag): Algorithm 2 refreshes
-rules on *every* iteration of the do-forever loop, but the underlying flows
-change only when the discovered topology or the round changes.
+The plan is cached per view *content* (nodes, node kinds, links): Algorithm 2
+refreshes rules on *every* iteration of the do-forever loop, but the
+underlying flows change only when the discovered topology does.  The round
+tag is a label on the plan — a new round on an unchanged view re-stamps the
+cached rules instead of planning again.
 """
 
 from __future__ import annotations
 
 from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
-from repro.net.topology import Topology, NodeKind
+from repro.net.topology import Topology, TopologyIndex, NodeKind
 from repro.flows.failover import plan_flow_rules, HopRule
 from repro.switch.flow_table import Rule
 from repro.switch.commands import QueryReply
@@ -64,26 +66,54 @@ def build_view(
     return view
 
 
-def _view_signature(view: Topology) -> Tuple:
-    return (tuple(view.nodes), tuple(view.links))
-
-
 class RuleGenerator:
-    """Cached ``myRules`` for one controller."""
+    """Cached ``myRules`` for one controller.
+
+    The cache is derived state, never protocol state: it holds the rules of
+    the last view planned, stamped with the last tag asked for, and is
+    always reconstructible from ``(view, tag)``.  :meth:`invalidate` drops
+    it, and everything that rewrites a controller's volatile state
+    (``recover()``, the corruption hooks) calls that.
+    """
 
     def __init__(self, owner: str, kappa: int) -> None:
         self.owner = owner
         self.kappa = kappa
-        self._cache_key: Optional[Tuple] = None
+        # The structure snapshot of the view the cached rules were planned
+        # on.  A TopologyIndex carries exactly what the planner reads —
+        # names, switch mask (node kinds), adjacency masks — and a Topology
+        # hands out the same snapshot until its structure changes, so the
+        # common lookup is an identity check.
+        self._planned: Optional[TopologyIndex] = None
+        self._tag: Optional[Tag] = None
         self._cache: Dict[str, List[Rule]] = {}
         self.computations = 0
 
     def rules_for_view(self, view: Topology, tag: Tag) -> Dict[str, List[Rule]]:
         """Per-switch rules realizing κ-fault-resilient flows from the owner
-        to every node reachable in ``view``, tagged ``tag``."""
-        key = (_view_signature(view), tag)
-        if key == self._cache_key:
-            return self._cache
+        to every node reachable in ``view``, tagged ``tag``; each (match,
+        priority, action) once per switch."""
+        index = view.index()
+        planned = self._planned
+        if index is not planned:
+            if (
+                planned is None
+                or index.switch_mask != planned.switch_mask
+                or index.names != planned.names
+                or index.adj_masks != planned.adj_masks
+            ):
+                self._cache = self._plan(view, tag)
+                self._tag = tag
+            self._planned = index
+        if tag != self._tag:
+            # Same plan, new round: relabel the previous generation.
+            cache = self._cache
+            for switch, rules in cache.items():
+                cache[switch] = [rule.with_tag(tag) for rule in rules]
+            self._tag = tag
+        return self._cache
+
+    def _plan(self, view: Topology, tag: Tag) -> Dict[str, List[Rule]]:
         self.computations += 1
         per_switch: Dict[str, List[Rule]] = {}
         if self.owner in view:
@@ -97,19 +127,20 @@ class RuleGenerator:
                     per_switch.setdefault(hop_rule.switch, []).append(
                         self._materialize(hop_rule, tag)
                     )
-        self._cache_key = key
-        self._cache = per_switch
+        # Deduplicated, one switch at a time so only one switch's key tuples
+        # are alive at once: two flows may share a hop with the same (match,
+        # priority, action); the later rule wins, in first-seen order.
+        for switch, rules in per_switch.items():
+            unique: Dict[Tuple, Rule] = {}
+            for rule in rules:
+                unique[rule.key()] = rule
+            per_switch[switch] = list(unique.values())
         return per_switch
 
     def my_rules(self, view: Topology, switch: str, tag: Tag) -> List[Rule]:
         """The paper's ``myRules(G, j, tag)``: the owner's rules at one
-        switch.  Deduplicated: two flows may share a hop with the same
-        (match, priority, action)."""
-        rules = self.rules_for_view(view, tag).get(switch, [])
-        unique: Dict[Tuple, Rule] = {}
-        for rule in rules:
-            unique[rule.key()] = rule
-        return list(unique.values())
+        switch, each (match, priority, action) once."""
+        return list(self.rules_for_view(view, tag).get(switch, ()))
 
     def _materialize(self, hop_rule: HopRule, tag: Tag) -> Rule:
         return Rule(
@@ -125,7 +156,7 @@ class RuleGenerator:
         )
 
     def invalidate(self) -> None:
-        self._cache_key = None
+        self._planned = None
         self._cache = {}
 
 

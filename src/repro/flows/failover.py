@@ -39,7 +39,7 @@ from repro.net.topology import Topology, NodeId, EdgeId, edge, _bits
 PRIMARY_PRIORITY = 1_000
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class HopRule:
     """One forwarding entry to install at ``switch``: matches header
     ``(src, dst)``, forwards to adjacent ``forward_to`` when that link is

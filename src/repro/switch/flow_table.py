@@ -38,7 +38,7 @@ def _event_kind(rule: "Rule") -> int:
     return EVENT_START if rule.detour_start else EVENT_DETOUR
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Rule:
     """One match-action entry.  ``forward_to is None`` encodes a meta-rule
     (it matches nothing on the data path).
@@ -71,6 +71,11 @@ class Rule:
         """Identity within one controller's rule set: match + priority +
         action (the tag is metadata, not identity)."""
         return (self.cid, self.src, self.dst, self.priority, self.forward_to, self.detour)
+
+    def with_tag(self, tag: object) -> "Rule":
+        """The same rule stamped with another round tag."""
+        return Rule(self.cid, self.sid, self.src, self.dst, self.priority,
+                    self.forward_to, tag, self.detour, self.detour_start)
 
 
 class FlowTable:
@@ -107,9 +112,11 @@ class FlowTable:
         # install/delete touching that header (even tag-only refreshes,
         # which swap the Rule object without bumping version).
         self._match_cache: Dict[Tuple[str, str], List[Rule]] = {}
-        # Rules per owning controller, so controllers_present() is O(#cids)
-        # instead of a full-table scan on every no_stale_rules probe.
-        self._owner_counts: Dict[str, int] = {}
+        # Resident keys per owning controller, in table (insertion) order:
+        # controllers_present() is O(#cids) instead of a full-table scan on
+        # every no_stale_rules probe, and a per-owner command visits only
+        # that owner's rules.
+        self._owner_keys: Dict[str, List[Tuple]] = {}
 
     def add_version_listener(
         self, listener: Callable[[str, Tuple[Tuple[str, str, int], ...]], None]
@@ -159,11 +166,10 @@ class FlowTable:
         del self._touched[key]
         self._index_remove(key, rule)
         self._match_cache.pop((rule.src, rule.dst), None)
-        count = self._owner_counts.get(rule.cid, 0) - 1
-        if count > 0:
-            self._owner_counts[rule.cid] = count
-        else:
-            self._owner_counts.pop(rule.cid, None)
+        owned = self._owner_keys[rule.cid]
+        owned.remove(key)
+        if not owned:
+            del self._owner_keys[rule.cid]
         self._bump_version(((rule.src, rule.dst, _event_kind(rule)),))
 
     def __len__(self) -> int:
@@ -173,10 +179,10 @@ class FlowTable:
         return list(self._rules.values())
 
     def rules_of(self, cid: str) -> List[Rule]:
-        return [r for r in self._rules.values() if r.cid == cid]
+        return [self._rules[k] for k in self._owner_keys.get(cid, ())]
 
     def controllers_present(self) -> List[str]:
-        return sorted(self._owner_counts)
+        return sorted(self._owner_keys)
 
     # -- mutation -------------------------------------------------------------
 
@@ -195,7 +201,7 @@ class FlowTable:
         self._index_add(key, rule)
         self._match_cache.pop((rule.src, rule.dst), None)
         if prior is None:
-            self._owner_counts[rule.cid] = self._owner_counts.get(rule.cid, 0) + 1
+            self._owner_keys.setdefault(rule.cid, []).append(key)
         # The key carries every forwarding-relevant field except
         # ``detour_start``; a same-key refresh differing only in tag (the
         # newRound meta-rule rotation) leaves forwarding untouched.
@@ -216,21 +222,54 @@ class FlowTable:
         """The ``updateRule`` command: replace all of ``cid``'s rules
         (except meta-rules, which ``newRound`` manages).
 
-        Delta-based: rules surviving the update are refreshed in place
-        rather than deleted and reinstalled, so an idempotent periodic
-        update does not invalidate route caches.
+        Delta-based.  ``cid``'s resident rules missing from the update are
+        deleted first.  If every key of the update is then resident with an
+        unchanged ``detour_start`` — Algorithm 2's periodic refresh of an
+        unchanged plan — the batch is one refresh pass: each ``Rule`` is
+        swapped for its (re-tagged) successor and its least-recently-updated
+        stamp advanced, with no version bump, so an idempotent update does
+        not invalidate route caches.  Otherwise the rules are installed one
+        by one.
+
+        Bucket order: a refresh pass leaves each touched ``(src, dst)``
+        bucket as its untouched keys in their previous order followed by the
+        refreshed keys in update order (a key given twice counts where it
+        came last) — what removing and re-appending one rule at a time
+        leaves, and what breaks :meth:`matching` ties on
+        ``(priority, cid, forward_to)``.
         """
         incoming = list(new_rules)
         for rule in incoming:
             if rule.cid != cid:
                 raise ValueError(f"rule owned by {rule.cid} in update for {cid}")
-        keep = {rule.key() for rule in incoming}
+            if rule.sid != self.sid:
+                raise ValueError(f"rule for switch {rule.sid} offered to {self.sid}")
+        rules = self._rules
+        keys = [rule.key() for rule in incoming]
+        keep = set(keys)
         for key in [
             k
-            for k, r in self._rules.items()
-            if r.cid == cid and not r.is_meta and k not in keep
+            for k in self._owner_keys.get(cid, ())
+            if k not in keep and not rules[k].is_meta
         ]:
             self._delete_key(key)
+        refreshed: Dict[Tuple[str, str], Dict[Tuple, None]] = {}
+        for key, rule in zip(keys, incoming):
+            prior = rules.get(key)
+            if prior is None or prior.detour_start != rule.detour_start:
+                break  # not a pure refresh
+            if not rule.is_meta:
+                moved = refreshed.setdefault((rule.src, rule.dst), {})
+                moved.pop(key, None)
+                moved[key] = None
+        else:
+            rules.update(zip(keys, incoming))
+            self._touched.update(zip(keys, self._clock))  # one tick per rule
+            for header, moved in refreshed.items():
+                bucket = self._by_match[header]
+                bucket[:] = [k for k in bucket if k not in moved] + list(moved)
+                self._match_cache.pop(header, None)
+            return
         for rule in incoming:
             self.install(rule)
 
@@ -238,8 +277,8 @@ class FlowTable:
         """The ``delAllRules`` command.  Returns the number removed."""
         victims = [
             k
-            for k, r in self._rules.items()
-            if r.cid == cid and (include_meta or not r.is_meta)
+            for k in self._owner_keys.get(cid, ())
+            if include_meta or not self._rules[k].is_meta
         ]
         for key in victims:
             self._delete_key(key)
@@ -256,7 +295,7 @@ class FlowTable:
         self._touched.clear()
         self._by_match.clear()
         self._match_cache.clear()
-        self._owner_counts.clear()
+        self._owner_keys.clear()
         self._bump_version(tuple((s, d, k) for (s, d), k in kinds.items()))
 
     # -- lookup ---------------------------------------------------------------

@@ -7,12 +7,16 @@ and 8), and self-stabilization after arbitrary state corruption
 (Theorem 2).
 """
 
+import random
+
 import pytest
 
 from repro import build_network, NetworkSimulation, SimulationConfig
+from repro.adversary.corruptions import apply_corruption
+from repro.api import Bootstrap, RunPlan
 from repro.net.topology import Topology
 from repro.net.topologies import random_k_connected, attach_controllers
-from repro.sim.faults import FaultPlan
+from repro.sim.faults import FaultAction, FaultPlan
 from repro.switch.flow_table import Rule
 
 
@@ -210,3 +214,68 @@ def test_unambiguous_rule_tables_after_convergence():
     for sid, switch in sim.switches.items():
         usable = sim.topology.operational_neighbors(sid)
         assert switch.table.is_unambiguous(operational=usable), sid
+
+
+# -- the "nothing changed" iteration -------------------------------------------
+
+
+def _legitimate_jellyfish(seed=0):
+    session = RunPlan("jellyfish:20", controllers=3, seed=seed).then(Bootstrap()).session()
+    assert session.run().ok
+    session.sim.run_for(1.0)  # the last post-convergence view deltas settle
+    return session.sim
+
+
+def _work_counters(sim):
+    return {
+        "computations": sum(c.rulegen.computations for c in sim.controllers.values()),
+        "table_versions": sum(s.table.version for s in sim.switches.values()),
+        "batches": sum(s.batches_processed for s in sim.switches.values()),
+        "iterations": sum(c.iterations for c in sim.controllers.values()),
+    }
+
+
+def test_steady_state_rounds_neither_replan_nor_touch_tables():
+    """Ten rounds on a legitimate network: every iteration still refreshes
+    every switch (that is what heals a corrupted one), but no rule is
+    planned again and no table is mutated."""
+    sim = _legitimate_jellyfish()
+    before = _work_counters(sim)
+    tags_before = {cid: c.curr_tag for cid, c in sim.controllers.items()}
+    sim.run_for(5.0)
+    after = _work_counters(sim)
+    assert after["iterations"] == before["iterations"] + 10 * len(sim.controllers)
+    assert after["batches"] > before["batches"]
+    assert after["computations"] == before["computations"]
+    assert after["table_versions"] == before["table_versions"]
+    # Rounds did advance, and the refreshed rules carry the live round's tag.
+    for cid, controller in sim.controllers.items():
+        assert controller.curr_tag != tags_before[cid]
+        live = {controller.curr_tag, controller.prev_tag}
+        for switch in sim.switches.values():
+            assert {r.tag for r in switch.table.rules_of(cid)} <= live
+    assert sim.is_legitimate(full=True)
+
+
+@pytest.mark.parametrize("hook", ["recover", "corrupt_controller", "desync-views"])
+def test_rule_cache_is_dropped_by_every_volatile_state_rewrite(hook):
+    """The rule cache is derived state: whatever rewrites a controller's
+    volatile state must force the next lookup to plan from scratch, even
+    for a view whose content did not change."""
+    sim = _legitimate_jellyfish()
+    controller = sim.controllers["c0"]
+    view = controller.current_view()
+    controller.rulegen.rules_for_view(view, controller.curr_tag)
+    planned = controller.rulegen.computations
+    controller.rulegen.rules_for_view(view, controller.curr_tag)
+    assert controller.rulegen.computations == planned  # warm
+
+    if hook == "recover":
+        controller.fail_stop()
+        controller.recover()
+    elif hook == "corrupt_controller":
+        sim.apply_fault(FaultAction(0.0, "corrupt_controller", ("c0",)))
+    else:
+        apply_corruption("desync-views", sim, random.Random(7))
+    controller.rulegen.rules_for_view(view, controller.curr_tag)
+    assert controller.rulegen.computations == planned + 1

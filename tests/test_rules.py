@@ -62,10 +62,52 @@ def test_rules_for_view_covers_reachable_targets():
 def test_rules_cached_per_view_and_tag():
     view = build_view("c0", ["s1"], [reply("s1", ["c0", "s2"]), reply("s2", ["s1"])])
     gen = RuleGenerator("c0", kappa=0)
-    gen.rules_for_view(view, T)
+    first = {s: list(rules) for s, rules in gen.rules_for_view(view, T).items()}
     gen.rules_for_view(view, T)
     assert gen.computations == 1
-    gen.rules_for_view(view, T2)  # new round: recompute
+    # A new round on an unchanged view is a relabel, not a second plan —
+    # also when the view arrives as a freshly built, equal object.
+    for same_view in (view, build_view("c0", ["s1"], [reply("s1", ["c0", "s2"]), reply("s2", ["s1"])])):
+        restamped = gen.rules_for_view(same_view, T2)
+        assert gen.computations == 1
+        assert restamped.keys() == first.keys()
+        for switch, rules in restamped.items():
+            assert all(r.tag == T2 for r in rules)
+            assert [r.key() for r in rules] == [r.key() for r in first[switch]]
+
+
+def test_node_kind_is_part_of_the_cached_view():
+    """Equal nodes and links, one relay flips switch -> controller (a node
+    seen only as a neighbour is typed a switch until it replies):
+    controllers never relay, so the far side must be re-planned around it."""
+    replies = [
+        reply("s1", ["c0", "r", "s2"]),
+        reply("s2", ["s1", "s3"]),
+        reply("s3", ["s2", "s9"]),
+        reply("s9", ["s3", "r"]),
+    ]
+    before = build_view("c0", ["s1"], replies)
+    after = build_view("c0", ["s1"], replies + [reply("r", ["s1", "s9"], kind="controller")])
+    assert before.nodes == after.nodes and before.links == after.links
+    assert before.is_switch("r") and after.is_controller("r")
+
+    gen = RuleGenerator("c0", kappa=0)
+    via_relay = gen.my_rules(before, "s1", T)
+    around_relay = gen.my_rules(after, "s1", T)
+    assert gen.computations == 2
+    to_far_side = lambda rules: [r.forward_to for r in rules if (r.src, r.dst) == ("c0", "s9")]
+    assert to_far_side(via_relay) == ["r"]
+    assert to_far_side(around_relay) == ["s2"]
+    assert around_relay == RuleGenerator("c0", kappa=0).my_rules(after, "s1", T)
+
+
+def test_mutating_the_same_view_object_replans():
+    view = build_view("c0", ["s1"], [reply("s1", ["c0", "s2"]), reply("s2", ["s1"])])
+    gen = RuleGenerator("c0", kappa=0)
+    assert "s3" not in {r.dst for r in gen.my_rules(view, "s2", T)}
+    view.add_switch("s3")
+    view.add_link("s2", "s3")
+    assert "s3" in {r.dst for r in gen.my_rules(view, "s2", T)}
     assert gen.computations == 2
 
 
