@@ -34,6 +34,7 @@ from repro.switch.commands import (
     NewRound,
     Query,
     QueryReply,
+    UpdateRules,
     make_batch,
 )
 
@@ -65,6 +66,8 @@ class RenaissanceController:
         # Iterations the current round has been waiting on unanswered
         # nodes (the bounded round refresh of _maybe_start_round).
         self._round_age = 0
+        # This iteration's (reply set, G(reply set), nodes reachable in it).
+        self._views: List[Tuple[List[QueryReply], Topology, Set[str]]] = []
 
     @property
     def round_age(self) -> int:
@@ -82,10 +85,13 @@ class RenaissanceController:
         non-memory-adaptive variant of Section 8.1 turns this off)."""
         return True
 
-    def _rules_to_install(self, view: Topology, switch_reply: QueryReply) -> List[Rule]:
-        """Rules for one switch this round (the three-tag variant of
-        Section 6.2 extends this with the previous round's rules)."""
-        return self.rulegen.my_rules(view, switch_reply.node, self.curr_tag)
+    def _update_rules(self, view: Topology, switch_reply: QueryReply) -> UpdateRules:
+        """The ``updateRule`` command for one switch this round: its cached
+        plan, labelled once with ``currTag`` (the three-tag variant of
+        Section 6.2 sends per-rule tags instead, to keep the previous
+        round's rules)."""
+        plan = self.rulegen.rules_for_view(view).get(switch_reply.node, ())
+        return UpdateRules(plan, self.curr_tag)
 
     # -- Algorithm 2 do-forever body ----------------------------------------------
 
@@ -95,24 +101,23 @@ class RenaissanceController:
             return []
         self.iterations += 1
         neighbors = list(self._alive_neighbors())
+        self._views = []
 
         self._prune_reply_db(neighbors)
         new_round = self._maybe_start_round(neighbors)
         self.last_new_round = new_round
 
-        # Each distinct view of this iteration is built once and handed down.
-        fusion_view = build_view(
-            self.cid, neighbors, self.replydb.fusion(self.curr_tag, self.prev_tag)
+        fusion_view, reachable = self._view(
+            neighbors, self.replydb.fusion(self.curr_tag, self.prev_tag)
         )
-        prev_view = build_view(self.cid, neighbors, self.replydb.res(self.prev_tag))
+        prev_view, reachable_prev = self._view(neighbors, self.replydb.res(self.prev_tag))
         refer_tag, refer_view = self._reference_tag(neighbors, fusion_view, prev_view)
-        updates = self._prepare_switch_updates(refer_tag, refer_view, new_round, prev_view)
-
-        reachable = set(fusion_view.bfs_layers(self.cid))
-        reachable.discard(self.cid)
+        updates = self._prepare_switch_updates(refer_tag, refer_view, new_round, reachable_prev)
 
         batches: List[Tuple[str, CommandBatch]] = []
         for node in sorted(reachable):
+            if node == self.cid:
+                continue
             if node in updates:
                 batch = updates[node]
             else:
@@ -123,6 +128,22 @@ class RenaissanceController:
             batches.append((node, batch))
         self.batches_sent += len(batches)
         return batches
+
+    def _view(
+        self, neighbors: Sequence[str], replies: List[QueryReply]
+    ) -> Tuple[Topology, Set[str]]:
+        """``G(replies)`` and the nodes reachable from ``pi`` in it, built
+        once per distinct reply set of an iteration: the prune's fusion and
+        the post-prune fusion are the same replies whenever the prune
+        removed nothing, and ``res(prevTag)``, ``res(currTag)`` and the
+        fusion coincide in a completed round."""
+        for known, view, reachable in self._views:
+            if known == replies:
+                return view, reachable
+        view = build_view(self.cid, neighbors, replies)
+        reachable = set(view.bfs_layers(self.cid))
+        self._views.append((replies, view, reachable))
+        return view, reachable
 
     # line 8
     def _prune_reply_db(self, neighbors: Sequence[str]) -> None:
@@ -138,10 +159,7 @@ class RenaissanceController:
         # on high-diameter rings; the fusion graph keeps the prune's
         # intent — stale tags and genuinely unreachable senders still go —
         # without the artifact.
-        fusion_view = build_view(
-            self.cid, neighbors, self.replydb.fusion(self.curr_tag, self.prev_tag)
-        )
-        reach = set(fusion_view.bfs_layers(self.cid))
+        _, reach = self._view(neighbors, self.replydb.fusion(self.curr_tag, self.prev_tag))
         self.replydb.prune(
             keep_tags={self.curr_tag, self.prev_tag},
             reachable={self.curr_tag: reach, self.prev_tag: reach},
@@ -150,9 +168,8 @@ class RenaissanceController:
     # lines 9-12, plus the bounded round refresh
     def _maybe_start_round(self, neighbors: Sequence[str]) -> bool:
         current = self.replydb.res(self.curr_tag)
-        view = build_view(self.cid, neighbors, current)
+        _, reachable = self._view(neighbors, current)
         answered = {r.node for r in current} | {self.cid}
-        reachable = set(view.bfs_layers(self.cid))
         if not reachable.issubset(answered):
             # Bounded round refresh.  A corrupted replyDB entry can assert
             # its own reachability — a fabricated reply from a phantom node
@@ -183,11 +200,10 @@ class RenaissanceController:
     def _observed_tags(self) -> List[Tag]:
         observed: List[Tag] = [self.curr_tag, self.prev_tag]
         for stored in self.replydb.entries():
-            if isinstance(stored.tag, Tag):
-                observed.append(stored.tag)
-            for rule in stored.reply.rules:
-                if rule.cid == self.cid and isinstance(rule.tag, Tag):
-                    observed.append(rule.tag)
+            metas, tags = stored.reply.owner_tags.get(self.cid, ((), ()))
+            for tag in (stored.tag, *metas, *tags):
+                if isinstance(tag, Tag):
+                    observed.append(tag)
         return observed
 
     # line 13
@@ -222,14 +238,10 @@ class RenaissanceController:
         if self._same_graph(fusion_view, prev_view):
             return self.prev_tag, prev_view
         if self.config.robust_views:
-            refer_view = build_view(
-                self.cid, neighbors, self._corroborated_fusion(neighbors)
-            )
+            replies = self._corroborated_fusion(neighbors)
         else:
-            refer_view = build_view(
-                self.cid, neighbors, self.replydb.res(self.curr_tag)
-            )
-        return self.curr_tag, refer_view
+            replies = self.replydb.res(self.curr_tag)
+        return self.curr_tag, self._view(neighbors, replies)[0]
 
     def _corroborated_fusion(self, neighbors: Sequence[str]) -> List[QueryReply]:
         """Current-round replies plus the previous-round fills that other
@@ -257,7 +269,7 @@ class RenaissanceController:
 
     @staticmethod
     def _same_graph(a: Topology, b: Topology) -> bool:
-        return a.nodes == b.nodes and a.links == b.links
+        return a is b or (a.nodes == b.nodes and a.links == b.links)
 
     # lines 14-18
     def _prepare_switch_updates(
@@ -265,15 +277,12 @@ class RenaissanceController:
         refer_tag: Tag,
         refer_view: Topology,
         new_round: bool,
-        prev_view: Topology,
+        reachable_prev: Set[str],
     ) -> Dict[str, CommandBatch]:
-        reachable_prev = set(prev_view.bfs_layers(self.cid))
-
         updates: Dict[str, CommandBatch] = {}
         for reply in self.replydb.res(refer_tag):
             if reply.kind != "switch":
                 continue
-            rule_owners = {r.cid for r in reply.rules}
             # Stale-state removal.  We follow Algorithm 1's semantics
             # (lines 9-11) and the prose of Section 4.1.2: on a new round,
             # remove any manager or rule owner that was not discovered
@@ -303,16 +312,15 @@ class RenaissanceController:
                 )
                 rule_dels = sorted(
                     owner
-                    for owner in rule_owners
+                    for owner in reply.owner_tags
                     if owner != self.cid and owner not in reachable_prev
                 )
-            new_rules = self._rules_to_install(refer_view, reply)
             updates[reply.node] = make_batch(
                 sender=self.cid,
                 round_tag=self.curr_tag,
                 manager_dels=manager_dels,
                 rule_dels=rule_dels,
-                new_rules=new_rules,
+                new_rules=self._update_rules(refer_view, reply),
                 query_tag=self.curr_tag,
             )
         return updates
@@ -326,16 +334,13 @@ class RenaissanceController:
         return self.replydb.store(reply, self._extract_tag(reply), self.curr_tag)
 
     def _extract_tag(self, reply: QueryReply) -> Optional[Tag]:
-        """The tag of *our* meta/echo rule inside the reply (``res`` macro)."""
-        fallback: Optional[Tag] = None
-        for rule in reply.rules:
-            if rule.cid != self.cid:
-                continue
-            if rule.is_meta and isinstance(rule.tag, Tag):
-                return rule.tag
-            if isinstance(rule.tag, Tag):
-                fallback = rule.tag
-        return fallback
+        """The tag of *our* meta/echo rule inside the reply (``res`` macro),
+        else that of the last of our rules that carries one."""
+        metas, tags = reply.owner_tags.get(self.cid, ((), ()))
+        for tag in (*metas, *reversed(tags)):
+            if isinstance(tag, Tag):
+                return tag
+        return None
 
     def on_query(self, sender: str, tag: object) -> QueryReply:
         """Line 23: answer another controller's query with our local

@@ -9,8 +9,12 @@ synchronization round.
 The plan is cached per view *content* (nodes, node kinds, links): Algorithm 2
 refreshes rules on *every* iteration of the do-forever loop, but the
 underlying flows change only when the discovered topology does.  The round
-tag is a label on the plan — a new round on an unchanged view re-stamps the
-cached rules instead of planning again.
+tag is a label on the whole plan, not a field of it: each switch's rules
+are one immutable :class:`~repro.switch.flow_table.RulePlan` (untagged
+rules plus their keys) that is handed out again, as the same object, for
+as long as the view stands, and the tag travels once per ``updateRule``
+batch.  Stamped copies are made only for callers that ask for them
+(:meth:`RuleGenerator.my_rules`).
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from repro.net.topology import Topology, TopologyIndex, NodeKind
 from repro.flows.failover import plan_flow_rules, HopRule
-from repro.switch.flow_table import Rule
+from repro.switch.flow_table import Rule, RulePlan
 from repro.switch.commands import QueryReply
 from repro.core.tags import Tag
 
@@ -69,11 +73,11 @@ def build_view(
 class RuleGenerator:
     """Cached ``myRules`` for one controller.
 
-    The cache is derived state, never protocol state: it holds the rules of
-    the last view planned, stamped with the last tag asked for, and is
-    always reconstructible from ``(view, tag)``.  :meth:`invalidate` drops
-    it, and everything that rewrites a controller's volatile state
-    (``recover()``, the corruption hooks) calls that.
+    The cache is derived state, never protocol state: it holds the plan of
+    the last view asked about and is always reconstructible from the view.
+    :meth:`invalidate` drops it, and everything that rewrites a
+    controller's volatile state (``recover()``, the corruption hooks) calls
+    that.
     """
 
     def __init__(self, owner: str, kappa: int) -> None:
@@ -85,14 +89,15 @@ class RuleGenerator:
         # hands out the same snapshot until its structure changes, so the
         # common lookup is an identity check.
         self._planned: Optional[TopologyIndex] = None
-        self._tag: Optional[Tag] = None
-        self._cache: Dict[str, List[Rule]] = {}
+        self._cache: Dict[str, RulePlan] = {}
         self.computations = 0
 
-    def rules_for_view(self, view: Topology, tag: Tag) -> Dict[str, List[Rule]]:
+    def rules_for_view(self, view: Topology, tag: Optional[Tag] = None) -> Dict[str, Tuple[Rule, ...]]:
         """Per-switch rules realizing κ-fault-resilient flows from the owner
-        to every node reachable in ``view``, tagged ``tag``; each (match,
-        priority, action) once per switch."""
+        to every node reachable in ``view``; each (match, priority, action)
+        once per switch.  Without ``tag``: the cached, untagged plans
+        themselves — the same objects until the view's content changes.
+        With ``tag``: copies stamped with it."""
         index = view.index()
         planned = self._planned
         if index is not planned:
@@ -102,18 +107,16 @@ class RuleGenerator:
                 or index.names != planned.names
                 or index.adj_masks != planned.adj_masks
             ):
-                self._cache = self._plan(view, tag)
-                self._tag = tag
+                self._cache = self._plan(view)
             self._planned = index
-        if tag != self._tag:
-            # Same plan, new round: relabel the previous generation.
-            cache = self._cache
-            for switch, rules in cache.items():
-                cache[switch] = [rule.with_tag(tag) for rule in rules]
-            self._tag = tag
-        return self._cache
+        if tag is None:
+            return self._cache
+        return {
+            switch: tuple(rule.with_tag(tag) for rule in plan)
+            for switch, plan in self._cache.items()
+        }
 
-    def _plan(self, view: Topology, tag: Tag) -> Dict[str, List[Rule]]:
+    def _plan(self, view: Topology) -> Dict[str, RulePlan]:
         self.computations += 1
         per_switch: Dict[str, List[Rule]] = {}
         if self.owner in view:
@@ -125,24 +128,30 @@ class RuleGenerator:
                     if not view.is_switch(hop_rule.switch):
                         continue  # controllers do not hold forwarding rules
                     per_switch.setdefault(hop_rule.switch, []).append(
-                        self._materialize(hop_rule, tag)
+                        self._materialize(hop_rule)
                     )
-        # Deduplicated, one switch at a time so only one switch's key tuples
-        # are alive at once: two flows may share a hop with the same (match,
+        # Deduplicated, one switch at a time so only one switch's key dict
+        # is alive at once: two flows may share a hop with the same (match,
         # priority, action); the later rule wins, in first-seen order.
+        # Keys the previous plan already had are reused as objects (tables
+        # keep the key objects they were first given).
+        plans: Dict[str, RulePlan] = {}
         for switch, rules in per_switch.items():
+            previous = self._cache.get(switch)
+            known = {key: key for key in previous.keys} if previous is not None else {}
             unique: Dict[Tuple, Rule] = {}
             for rule in rules:
-                unique[rule.key()] = rule
-            per_switch[switch] = list(unique.values())
-        return per_switch
+                key = rule.key()
+                unique[known.get(key, key)] = rule
+            plans[switch] = RulePlan(unique.values(), unique)
+        return plans
 
     def my_rules(self, view: Topology, switch: str, tag: Tag) -> List[Rule]:
         """The paper's ``myRules(G, j, tag)``: the owner's rules at one
-        switch, each (match, priority, action) once."""
-        return list(self.rules_for_view(view, tag).get(switch, ()))
+        switch, each (match, priority, action) once, stamped ``tag``."""
+        return [rule.with_tag(tag) for rule in self.rules_for_view(view).get(switch, ())]
 
-    def _materialize(self, hop_rule: HopRule, tag: Tag) -> Rule:
+    def _materialize(self, hop_rule: HopRule) -> Rule:
         return Rule(
             cid=self.owner,
             sid=hop_rule.switch,
@@ -150,7 +159,6 @@ class RuleGenerator:
             dst=hop_rule.dst,
             priority=hop_rule.priority,
             forward_to=hop_rule.forward_to,
-            tag=tag,
             detour=hop_rule.detour,
             detour_start=hop_rule.detour_start,
         )

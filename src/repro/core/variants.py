@@ -15,14 +15,13 @@
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Optional
 
 from repro.net.topology import Topology
 from repro.core.controller import RenaissanceController
 from repro.core.replydb import ReplyDB, StoredReply
 from repro.core.tags import Tag
-from repro.switch.commands import QueryReply
-from repro.switch.flow_table import Rule
+from repro.switch.commands import QueryReply, UpdateRules
 
 
 class EvictingReplyDB(ReplyDB):
@@ -59,7 +58,7 @@ class ThreeTagController(RenaissanceController):
     fresh rule, so the stable-state table is identical to Algorithm 2's.
     """
 
-    def _rules_to_install(self, view: Topology, switch_reply: QueryReply) -> List[Rule]:
+    def _update_rules(self, view: Topology, switch_reply: QueryReply) -> UpdateRules:
         fresh = self.rulegen.my_rules(view, switch_reply.node, self.curr_tag)
         fresh_keys = {rule.key() for rule in fresh}
         retained = [
@@ -70,7 +69,7 @@ class ThreeTagController(RenaissanceController):
             and rule.tag == self.prev_tag
             and rule.key() not in fresh_keys
         ]
-        return fresh + retained
+        return UpdateRules(tuple(fresh + retained))
 
 
 __all__ = ["NonAdaptiveController", "ThreeTagController", "EvictingReplyDB"]

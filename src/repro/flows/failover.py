@@ -32,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Set
 
-from repro.net.topology import Topology, NodeId, EdgeId, edge, _bits
+from repro.net.topology import Topology, NodeId, EdgeId, edge
 
 #: Priority of primary-path rules; detours descend from it.  Far above the
 #: meta-rule's priority 0, leaving room for diameter-many detour levels.
@@ -158,9 +158,11 @@ def _bfs_avoiding(
     relay_mask = index.switch_mask | (1 << src_i)
     parent: Dict[int, int] = {src_i: src_i}
     seen = (1 << src_i) | avoid_mask
+    dst_bit = 1 << dst_i
     frontier = [src_i]
-    found = False
-    while frontier and not found:
+    while dst_i not in parent:
+        if not frontier:
+            return None
         next_frontier: List[int] = []
         for u in frontier:
             if not (relay_mask >> u) & 1:
@@ -168,15 +170,19 @@ def _bfs_avoiding(
             mask = adj_masks[u] & ~seen
             if excluded is not None and u in excluded:
                 mask &= ~excluded[u]
-            for v in _bits(mask):
-                seen |= 1 << v
+            if mask & dst_bit:
+                # First discovery fixes dst's parent, and every ancestor's
+                # was fixed a layer earlier: the layer need not be finished.
+                parent[dst_i] = u
+                break
+            seen |= mask
+            while mask:
+                low = mask & -mask
+                v = low.bit_length() - 1
+                mask ^= low
                 parent[v] = u
                 next_frontier.append(v)
-                if v == dst_i:
-                    found = True
         frontier = next_frontier
-    if dst_i not in parent:
-        return None
     path_i = [dst_i]
     while path_i[-1] != src_i:
         path_i.append(parent[path_i[-1]])

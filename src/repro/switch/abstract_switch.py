@@ -77,7 +77,7 @@ class AbstractSwitch:
                 if self.table.delete_rules_of(command.cid) > 0:
                     record.rule_owners_cleared.append(command.cid)
             elif isinstance(command, UpdateRules):
-                self.table.replace_rules_of(batch.sender, command.rules)
+                self.table.replace_rules_of(batch.sender, command.rules, command.tag)
             elif isinstance(command, Query):
                 reply = self.snapshot()
             else:  # pragma: no cover - defensive
@@ -105,7 +105,8 @@ class AbstractSwitch:
             node=self.sid,
             neighbors=tuple(self._alive_neighbors()),
             managers=tuple(self.managers.members()),
-            rules=tuple(self.table.rules()),
+            rules=self.table.resident(),
+            owner_tags=self.table.owner_tags(),
         )
 
     def meta_tag_of(self, cid: str) -> Optional[object]:

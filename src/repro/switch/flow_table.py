@@ -14,7 +14,6 @@ eviction — the property Lemma 1 relies on.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, replace
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
@@ -78,6 +77,52 @@ class Rule:
                     self.forward_to, tag, self.detour, self.detour_start)
 
 
+class RulePlan(tuple):
+    """One owner's rules for one switch, as an immutable tuple that also
+    carries each rule's :meth:`Rule.key` in ``keys`` — computed once, where
+    the plan is made.  The tag is not part of a key, so a plan outlives the
+    rounds it is sent under."""
+
+    keys: Tuple[Tuple, ...]
+
+    def __new__(cls, rules: Iterable[Rule], keys: Optional[Iterable[Tuple]] = None) -> "RulePlan":
+        plan = super().__new__(cls, rules)
+        plan.keys = tuple(r.key() for r in plan) if keys is None else tuple(keys)
+        return plan
+
+
+def tag_summary(rules: Iterable[Rule]) -> Dict[str, Tuple[List[object], List[object]]]:
+    """Owner → (its meta-rules' tags, its other rules' tags with runs of
+    equal tags collapsed), both in the order given: what round
+    synchronization reads from a rule set."""
+    summary: Dict[str, Tuple[List[object], List[object]]] = {}
+    for rule in rules:
+        metas, tags = summary.setdefault(rule.cid, ([], []))
+        if rule.is_meta:
+            metas.append(rule.tag)
+        elif not tags or tags[-1] != rule.tag:
+            tags.append(rule.tag)
+    return summary
+
+
+class _Generation:
+    """One owner's plan resident in a table under one round tag (see
+    :meth:`FlowTable.replace_rules_of`).  While the record exists the
+    owner's resident non-meta keys are exactly ``keys``; ``tag`` overrides
+    the resident ``Rule`` objects' own, and unless ``stamped`` the
+    least-recently-updated stamp of ``keys[i]`` is ``base + i``."""
+
+    __slots__ = ("rules", "keys", "tag", "base", "stamped")
+
+    def __init__(self, rules: Tuple[Rule, ...], keys: Tuple[Tuple, ...], tag: object, base: int) -> None:
+        self.rules, self.keys, self.tag, self.base = rules, keys, tag, base
+        self.stamped = True
+
+
+def _keys_of(rules: Tuple[Rule, ...]) -> Tuple[Tuple, ...]:
+    return rules.keys if isinstance(rules, RulePlan) else tuple(r.key() for r in rules)
+
+
 class FlowTable:
     """Rule storage for one switch, bounded by ``max_rules``."""
 
@@ -91,8 +136,13 @@ class FlowTable:
         # Match index (src, dst) -> rule keys, kept in sync by every
         # mutation: data-plane lookups must not scan the whole table.
         self._by_match: Dict[Tuple[str, str], List[Tuple]] = {}
-        self._clock = itertools.count()
+        self._clock = 0
         self.evictions = 0
+        # Work counters: whole-generation refreshes (O(1) each) and
+        # per-rule writes (installs, plus tags written out when a
+        # generation is dropped).
+        self.refreshes = 0
+        self.rule_writes = 0
         # Monotone mutation counter of *forwarding-relevant* state: bumped
         # whenever the set of rules — as seen by the data plane — changes,
         # letting route caches detect staleness without diffing tables.
@@ -117,6 +167,10 @@ class FlowTable:
         # every no_stale_rules probe, and a per-owner command visits only
         # that owner's rules.
         self._owner_keys: Dict[str, List[Tuple]] = {}
+        # The meta-rule subset of _owner_keys, and each owner's resident
+        # generation, if its rules are one.
+        self._owner_metas: Dict[str, List[Tuple]] = {}
+        self._generations: Dict[str, _Generation] = {}
 
     def add_version_listener(
         self, listener: Callable[[str, Tuple[Tuple[str, str, int], ...]], None]
@@ -162,24 +216,57 @@ class FlowTable:
             del self._by_match[(rule.src, rule.dst)]
 
     def _delete_key(self, key: Tuple) -> None:
-        rule = self._rules.pop(key)
+        rule = self._rules[key]
+        if rule.cid in self._generations and not rule.is_meta:
+            self._drop_generation(rule.cid)
+        del self._rules[key]
         del self._touched[key]
         self._index_remove(key, rule)
         self._match_cache.pop((rule.src, rule.dst), None)
         owned = self._owner_keys[rule.cid]
         owned.remove(key)
+        if rule.is_meta:
+            self._owner_metas[rule.cid].remove(key)
         if not owned:
             del self._owner_keys[rule.cid]
+            self._owner_metas.pop(rule.cid, None)
         self._bump_version(((rule.src, rule.dst, _event_kind(rule)),))
 
     def __len__(self) -> int:
         return len(self._rules)
 
+    def _tagged(self, rule: Rule) -> Rule:
+        """``rule`` under the tag its owner's generation holds for it."""
+        gen = self._generations.get(rule.cid)
+        if gen is None or rule.is_meta or rule.tag == gen.tag:
+            return rule
+        return rule.with_tag(gen.tag)
+
     def rules(self) -> List[Rule]:
-        return list(self._rules.values())
+        return [self._tagged(rule) for rule in self._rules.values()]
 
     def rules_of(self, cid: str) -> List[Rule]:
-        return [self._rules[k] for k in self._owner_keys.get(cid, ())]
+        return [self._tagged(self._rules[k]) for k in self._owner_keys.get(cid, ())]
+
+    def resident(self) -> Tuple[Rule, ...]:
+        """The stored ``Rule`` objects as they are, in table order: the tags
+        of an owner with a resident generation are whatever its plan
+        carried, and :meth:`owner_tags` holds the true ones."""
+        return tuple(self._rules.values())
+
+    def owner_tags(self) -> Dict[str, Tuple[List[object], List[object]]]:
+        """:func:`tag_summary` of :meth:`rules`, in O(1) per owner whose
+        rules are a resident generation."""
+        rules = self._rules
+        summary: Dict[str, Tuple[List[object], List[object]]] = {}
+        for cid, keys in self._owner_keys.items():
+            gen = self._generations.get(cid)
+            if gen is None:
+                summary.update(tag_summary(rules[k] for k in keys))
+            else:
+                metas = [rules[k].tag for k in self._owner_metas.get(cid, ())]
+                summary[cid] = (metas, [gen.tag] if gen.keys else [])
+        return summary
 
     def controllers_present(self) -> List[str]:
         return sorted(self._owner_keys)
@@ -190,18 +277,26 @@ class FlowTable:
         """Insert or refresh one rule, evicting if the table is clogged."""
         if rule.sid != self.sid:
             raise ValueError(f"rule for switch {rule.sid} offered to {self.sid}")
-        key = rule.key()
+        if rule.cid in self._generations and not rule.is_meta:
+            self._drop_generation(rule.cid)
+        self._install(rule.key(), rule)
+
+    def _install(self, key: Tuple, rule: Rule) -> None:
         prior = self._rules.get(key)
         if prior is None and len(self._rules) >= self.max_rules:
             self._evict_one()
         if prior is not None:
             self._index_remove(key, prior)
         self._rules[key] = rule
-        self._touched[key] = next(self._clock)
+        self._touched[key] = self._clock
+        self._clock += 1
+        self.rule_writes += 1
         self._index_add(key, rule)
         self._match_cache.pop((rule.src, rule.dst), None)
         if prior is None:
             self._owner_keys.setdefault(rule.cid, []).append(key)
+            if rule.is_meta:
+                self._owner_metas.setdefault(rule.cid, []).append(key)
         # The key carries every forwarding-relevant field except
         # ``detour_start``; a same-key refresh differing only in tag (the
         # newRound meta-rule rotation) leaves forwarding untouched.
@@ -214,67 +309,120 @@ class FlowTable:
             self._bump_version(((rule.src, rule.dst, kind),))
 
     def _evict_one(self) -> None:
+        for gen in self._generations.values():
+            self._stamp(gen)
         victim = min(self._touched, key=self._touched.get)
         self._delete_key(victim)
         self.evictions += 1
 
-    def replace_rules_of(self, cid: str, new_rules: Iterable[Rule]) -> None:
+    def _stamp(self, gen: _Generation) -> None:
+        """Write out the least-recently-updated stamps ``gen`` holds lazily."""
+        if not gen.stamped:
+            self._touched.update(zip(gen.keys, range(gen.base, gen.base + len(gen.keys))))
+            gen.stamped = True
+
+    def _drop_generation(self, cid: str, write_tags: bool = True) -> None:
+        """Forget ``cid``'s generation because a per-rule operation is about
+        to hit its rules, first writing out what the record held for them
+        (``write_tags=False`` when every one of them is about to be
+        overwritten or deleted anyway)."""
+        gen = self._generations.pop(cid, None)
+        if gen is None:
+            return
+        self._stamp(gen)
+        if write_tags:
+            rules = self._rules
+            for key in gen.keys:
+                rules[key] = rules[key].with_tag(gen.tag)
+            self.rule_writes += len(gen.keys)
+
+    def _same_generation(self, gen: _Generation, rules: Tuple[Rule, ...]) -> bool:
+        """Whether ``rules`` is the plan ``gen`` records: the same tuple, or
+        the same keys in the same order with the same ``detour_start`` marks
+        (everything else forwarding reads is in the key)."""
+        if rules is gen.rules:
+            return True
+        if _keys_of(rules) != gen.keys:
+            return False
+        return all(
+            new.detour_start == old.detour_start and new.sid == self.sid
+            for new, old in zip(rules, gen.rules)
+        )
+
+    def replace_rules_of(self, cid: str, new_rules: Iterable[Rule], tag: object = None) -> None:
         """The ``updateRule`` command: replace all of ``cid``'s rules
-        (except meta-rules, which ``newRound`` manages).
+        (except meta-rules, which ``newRound`` manages).  ``tag``, when
+        given, is the round tag of the whole batch and overrides the rules'
+        own; without it each rule keeps the tag it carries.
 
-        Delta-based.  ``cid``'s resident rules missing from the update are
-        deleted first.  If every key of the update is then resident with an
-        unchanged ``detour_start`` — Algorithm 2's periodic refresh of an
-        unchanged plan — the batch is one refresh pass: each ``Rule`` is
-        swapped for its (re-tagged) successor and its least-recently-updated
-        stamp advanced, with no version bump, so an idempotent update does
-        not invalidate route caches.  Otherwise the rules are installed one
-        by one.
+        A batch under a batch tag that leaves ``cid``'s rules exactly the
+        batch — no key twice, no meta-rule inside, no eviction — makes them
+        a *generation*: the table records the tuple, its keys, the tag and
+        the clock value of the refresh instead of relabelling every rule.
+        Algorithm 2's periodic refresh of an unchanged plan then finds its
+        own generation resident (:meth:`_same_generation`) and costs O(1):
+        the new tag, and the clock advanced by one tick per rule.  What a
+        rule-by-rule refresh would also have written is derived when
+        something asks: least-recently-updated stamps (``base + position``)
+        before an eviction picks a victim, tags in :meth:`rules`,
+        :meth:`rules_of` and :meth:`owner_tags`; :meth:`matching` returns
+        the stored objects, whose tags nothing on the data path reads.  Any
+        per-rule operation that hits one of the owner's rules (``install``,
+        a delete, an eviction, ``clear``, ``corrupt_with``) drops the record
+        first, so every other batch — a new or missing key, a
+        ``detour_start`` flip, per-rule tags, planted garbage, a clogged
+        table — takes the rule-by-rule path below, the one healing path:
+        ``cid``'s resident rules missing from the update are deleted, then
+        each rule is installed (no version bump for an unchanged one).
 
-        Bucket order: a refresh pass leaves each touched ``(src, dst)``
-        bucket as its untouched keys in their previous order followed by the
-        refreshed keys in update order (a key given twice counts where it
-        came last) — what removing and re-appending one rule at a time
-        leaves, and what breaks :meth:`matching` ties on
-        ``(priority, cid, forward_to)``.
+        Bucket order: :meth:`matching` sorts on ``(-priority, cid,
+        forward_to)``, so only the relative order of *one owner's* keys in
+        a ``(src, dst)`` bucket is observable.  Rule-by-rule refreshes
+        re-append them in update order; a repeated generation would
+        re-append them in the order they already have, so buckets stay.
         """
-        incoming = list(new_rules)
-        for rule in incoming:
+        rules = new_rules if isinstance(new_rules, tuple) else tuple(new_rules)
+        gen = self._generations.get(cid)
+        if gen is not None and tag is not None and self._same_generation(gen, rules):
+            if rules is not gen.rules:
+                self._rules.update(zip(gen.keys, rules))  # let the old plan go
+                gen.rules = rules
+            gen.tag, gen.base, gen.stamped = tag, self._clock, False
+            self._clock += len(gen.keys)
+            self.refreshes += 1
+            return
+        generation = tag is not None
+        for rule in rules:
             if rule.cid != cid:
                 raise ValueError(f"rule owned by {rule.cid} in update for {cid}")
             if rule.sid != self.sid:
                 raise ValueError(f"rule for switch {rule.sid} offered to {self.sid}")
-        rules = self._rules
-        keys = [rule.key() for rule in incoming]
+            if rule.is_meta:
+                generation = False
+        keys = _keys_of(rules)
+        self._drop_generation(cid, write_tags=False)
+        resident = self._rules
         keep = set(keys)
         for key in [
             k
             for k in self._owner_keys.get(cid, ())
-            if k not in keep and not rules[k].is_meta
+            if k not in keep and not resident[k].is_meta
         ]:
             self._delete_key(key)
-        refreshed: Dict[Tuple[str, str], Dict[Tuple, None]] = {}
-        for key, rule in zip(keys, incoming):
-            prior = rules.get(key)
-            if prior is None or prior.detour_start != rule.detour_start:
-                break  # not a pure refresh
-            if not rule.is_meta:
-                moved = refreshed.setdefault((rule.src, rule.dst), {})
-                moved.pop(key, None)
-                moved[key] = None
-        else:
-            rules.update(zip(keys, incoming))
-            self._touched.update(zip(keys, self._clock))  # one tick per rule
-            for header, moved in refreshed.items():
-                bucket = self._by_match[header]
-                bucket[:] = [k for k in bucket if k not in moved] + list(moved)
-                self._match_cache.pop(header, None)
-            return
-        for rule in incoming:
-            self.install(rule)
+        if generation and (
+            len(keep) != len(keys)
+            or len(resident) + sum(k not in resident for k in keep) > self.max_rules
+        ):
+            generation = False
+        base = self._clock
+        for key, rule in zip(keys, rules):
+            self._install(key, rule if generation or tag is None else rule.with_tag(tag))
+        if generation:
+            self._generations[cid] = _Generation(rules, keys, tag, base)
 
     def delete_rules_of(self, cid: str, include_meta: bool = True) -> int:
         """The ``delAllRules`` command.  Returns the number removed."""
+        self._drop_generation(cid, write_tags=False)
         victims = [
             k
             for k in self._owner_keys.get(cid, ())
@@ -296,6 +444,8 @@ class FlowTable:
         self._by_match.clear()
         self._match_cache.clear()
         self._owner_keys.clear()
+        self._owner_metas.clear()
+        self._generations.clear()
         self._bump_version(tuple((s, d, k) for (s, d), k in kinds.items()))
 
     # -- lookup ---------------------------------------------------------------
@@ -346,6 +496,8 @@ class FlowTable:
 
 __all__ = [
     "Rule",
+    "RulePlan",
+    "tag_summary",
     "FlowTable",
     "META_PRIORITY",
     "EVENT_PRIMARY",

@@ -161,6 +161,8 @@ class TenantFlows:
         self.kappa = kappa
         self.ecmp = max(1, ecmp)
         self._base_max_rules: Dict[str, int] = {}
+        # owner -> the switches its rules went to at the last install.
+        self._holders: Dict[str, List[str]] = {}
 
     # -- planning --------------------------------------------------------------
 
@@ -192,8 +194,9 @@ class TenantFlows:
                     detour=hop_rule.detour,
                     detour_start=hop_rule.detour_start,
                 )
-                if rule.key() not in seen_keys:
-                    seen_keys.add(rule.key())
+                key = rule.key()
+                if key not in seen_keys:
+                    seen_keys.add(key)
                     put(owner, rule)
             if self.ecmp > 1:
                 for path in equal_cost_paths(view, src, dst, self.ecmp):
@@ -206,8 +209,9 @@ class TenantFlows:
                             priority=PRIMARY_PRIORITY,  # an ECMP tie
                             forward_to=nxt,
                         )
-                        if rule.key() not in seen_keys:
-                            seen_keys.add(rule.key())
+                        key = rule.key()
+                        if key not in seen_keys:
+                            seen_keys.add(key)
                             put(owner, rule)
         return per
 
@@ -239,16 +243,19 @@ class TenantFlows:
                 installed += len(per_switch[sid])
             # Switches no longer on any of this owner's paths lose their
             # stale tenant rules.
-            for sid, switch in self.switches.items():
-                if sid not in per_switch:
-                    switch.table.delete_rules_of(owner)
+            for sid in self._holders.get(owner, ()):
+                if sid not in per_switch and sid in self.switches:
+                    self.switches[sid].table.delete_rules_of(owner)
+            self._holders[owner] = list(per_switch)
         return installed
 
     def remove(self) -> None:
         """Delete every tenant rule (end-of-phase cleanup)."""
-        for owner in sorted({src for src, _ in self.pairs}):
-            for switch in self.switches.values():
-                switch.table.delete_rules_of(owner)
+        for owner, holders in self._holders.items():
+            for sid in holders:
+                if sid in self.switches:
+                    self.switches[sid].table.delete_rules_of(owner)
+        self._holders = {}
 
 
 __all__ = ["TenantFlows", "ecmp_paths", "equal_cost_paths"]

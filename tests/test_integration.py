@@ -17,7 +17,7 @@ from repro.api import Bootstrap, RunPlan
 from repro.net.topology import Topology
 from repro.net.topologies import random_k_connected, attach_controllers
 from repro.sim.faults import FaultAction, FaultPlan
-from repro.switch.flow_table import Rule
+from repro.switch.flow_table import FlowTable, Rule
 
 
 def small_sim(n_controllers=2, seed=1, **config_kw):
@@ -232,13 +232,16 @@ def _work_counters(sim):
         "table_versions": sum(s.table.version for s in sim.switches.values()),
         "batches": sum(s.batches_processed for s in sim.switches.values()),
         "iterations": sum(c.iterations for c in sim.controllers.values()),
+        "refreshes": sum(s.table.refreshes for s in sim.switches.values()),
+        "rule_writes": sum(s.table.rule_writes for s in sim.switches.values()),
     }
 
 
 def test_steady_state_rounds_neither_replan_nor_touch_tables():
     """Ten rounds on a legitimate network: every iteration still refreshes
     every switch (that is what heals a corrupted one), but no rule is
-    planned again and no table is mutated."""
+    planned again, no table is mutated, and a refresh is one generation
+    relabelled — the only rule written per batch is the newRound meta-rule."""
     sim = _legitimate_jellyfish()
     before = _work_counters(sim)
     tags_before = {cid: c.curr_tag for cid, c in sim.controllers.items()}
@@ -248,6 +251,10 @@ def test_steady_state_rounds_neither_replan_nor_touch_tables():
     assert after["batches"] > before["batches"]
     assert after["computations"] == before["computations"]
     assert after["table_versions"] == before["table_versions"]
+    batches = after["batches"] - before["batches"]
+    assert batches == 10 * len(sim.controllers) * len(sim.switches)
+    assert after["refreshes"] - before["refreshes"] == batches  # one per (owner, switch, round)
+    assert after["rule_writes"] - before["rule_writes"] == batches  # the meta-rule installs
     # Rounds did advance, and the refreshed rules carry the live round's tag.
     for cid, controller in sim.controllers.items():
         assert controller.curr_tag != tags_before[cid]
@@ -279,3 +286,111 @@ def test_rule_cache_is_dropped_by_every_volatile_state_rewrite(hook):
         apply_corruption("desync-views", sim, random.Random(7))
     controller.rulegen.rules_for_view(view, controller.curr_tag)
     assert controller.rulegen.computations == planned + 1
+
+
+def _victim(sim):
+    return sim.switches[sorted(sim.switches)[3]]
+
+
+def _clear(sim, switch):
+    switch.corrupt(clear_first=True)
+
+
+def _garbage(sim, switch):
+    owned = switch.table.rules_of("c0")
+    twin = [r for r in owned if not r.is_meta][0]
+    switch.corrupt(rules=(
+        Rule("c0", switch.sid, twin.src, twin.dst, twin.priority, twin.forward_to,
+             tag="junk", detour=7),  # ties with a resident rule on matching()'s sort key
+        Rule("c9", switch.sid, "zz", "yy", 5, twin.forward_to),  # an owner that never existed
+    ))
+
+
+def _delete_one(sim, switch):
+    victim = [r for r in switch.table.rules_of("c1") if not r.is_meta][0]
+    switch.table._delete_key(victim.key())
+
+
+def _clog(sim, switch):
+    port = sim.topology.neighbors(switch.sid)[0]
+    filler = []
+    while len(switch.table) + len(filler) < switch.table.max_rules:
+        filler.append(Rule("c8", switch.sid, f"zz{len(filler)}", "yy", 5, port))
+    switch.corrupt(rules=tuple(filler))
+
+
+@pytest.mark.parametrize("damage", [_clear, _garbage, _delete_one, _clog])
+def test_a_switch_corrupted_mid_steady_run_heals_through_the_fallback(damage):
+    """The O(1) refresh must never paper over a table that is no longer
+    the generation it recorded: the next batch goes rule by rule."""
+    sim = _legitimate_jellyfish()
+    sim.run_for(2.0)  # steady: every (owner, switch) is a resident generation
+    switch = _victim(sim)
+    assert set(switch.table._generations) == set(sim.controllers)
+    expected = {cid: [(r.key(), r.detour_start) for r in switch.table.rules_of(cid)]
+                for cid in sim.controllers}
+    writes = switch.table.rule_writes
+    damage(sim, switch)
+    assert sim.run_until_legitimate(timeout=30.0) is not None
+    sim.run_for(2.0)
+    assert sim.is_legitimate(full=True)
+    assert switch.table.rule_writes > writes + 4 * len(sim.controllers)  # rule by rule
+    assert switch.table.controllers_present() == sorted(sim.controllers)
+    for cid, controller in sim.controllers.items():
+        healed = switch.table.rules_of(cid)
+        assert sorted((r.key(), r.detour_start) for r in healed) == sorted(expected[cid])
+        assert {r.tag for r in healed} <= {controller.curr_tag, controller.prev_tag}
+    assert set(switch.table._generations) == set(sim.controllers)  # and O(1) again
+
+
+@pytest.mark.parametrize("hook", ["recover", "corrupt_controller", "desync-views"])
+def test_controller_state_rewrites_mid_steady_run_replan_and_converge(hook):
+    sim = _legitimate_jellyfish()
+    sim.run_for(2.0)
+    controller = sim.controllers["c0"]
+    planned = controller.rulegen.computations
+    if hook == "recover":
+        controller.fail_stop()
+        controller.recover()
+    elif hook == "corrupt_controller":
+        sim.apply_fault(FaultAction(0.0, "corrupt_controller", ("c0",)))
+    else:
+        apply_corruption("desync-views", sim, random.Random(7))
+    sim.run_for(3.0)  # replies to the emptied store come back, then it plans
+    assert controller.rulegen.computations > planned
+    assert sim.run_until_legitimate(timeout=60.0) is not None
+    sim.run_for(2.0)
+    assert sim.is_legitimate(full=True)
+    for cid, c in sim.controllers.items():
+        for switch in sim.switches.values():
+            assert {r.tag for r in switch.table.rules_of(cid)} <= {c.curr_tag, c.prev_tag}
+
+
+def _corrupted_run(seed):
+    session = RunPlan("fattree:4", controllers=2, seed=seed).then(Bootstrap()).session()
+    result = session.run()
+    sim = session.sim
+    sim.run_for(1.5)
+    rng = random.Random(seed)
+    for name in ("garbage-rules", "desync-views", "phantom-replies", "clogged-memory"):
+        apply_corruption(name, sim, rng)  # (the in-flight garbage of "mixed" needs t = 0)
+    recovered = sim.run_until_legitimate(timeout=60.0)
+    sim.run_for(1.5)
+    tables = {sid: (s.table.rules(), s.table.version, s.table.evictions)
+              for sid, s in sim.switches.items()}
+    return result.to_json(), recovered, sim.sim.steps, tables, sum(
+        s.table.refreshes for s in sim.switches.values())
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_generation_shortcut_changes_cost_never_behaviour(seed, monkeypatch):
+    """Bootstrap, steady rounds, an arbitrary corruption and the recovery
+    are event-for-event and rule-for-rule (tags included) the same with
+    the O(1) generation match forced off — everything then goes through
+    the rule-by-rule path."""
+    fast = _corrupted_run(seed)
+    monkeypatch.setattr(FlowTable, "_same_generation", lambda self, gen, rules: False)
+    slow = _corrupted_run(seed)
+    assert fast[:4] == slow[:4]
+    assert fast[1] is not None  # it did recover
+    assert fast[4] > 0 and slow[4] == 0

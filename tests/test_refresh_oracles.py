@@ -1,13 +1,14 @@
 """Differential oracles for the "nothing changed" fast paths.
 
 Two caches sit between Algorithm 2's every-iteration refresh and the work
-it used to repeat: :class:`RuleGenerator` keeps the last view's rules and
-re-stamps them when only the round tag advances, and
-:meth:`FlowTable.replace_rules_of` turns a fully resident update into one
-refresh pass.  Both claim *exact* equivalence with the slow path they
-replaced.  The references below are those slow paths, frozen from the code
-as it was before the fast paths existed; seeded random sequences drive both
-sides and compare everything observable after every step.
+it used to repeat: :class:`RuleGenerator` keeps the last view's plan and
+hands it out again whatever the round tag, and
+:meth:`FlowTable.replace_rules_of` turns the refresh of a resident
+generation into one O(1) relabelling whose per-rule effects are derived
+lazily.  Both claim *exact* equivalence with the slow path they replaced.
+The references below are those slow paths, frozen from the code as it was
+before the fast paths existed; seeded random sequences drive both sides
+and compare everything observable after every step.
 """
 
 from __future__ import annotations
@@ -25,7 +26,15 @@ from repro.flows.failover import plan_flow_rules
 from repro.net.topologies import attach_controllers
 from repro.net.topology import NodeKind, Topology
 from repro.scenarios.generators import parse_topology
-from repro.switch.flow_table import META_PRIORITY, FlowTable, Rule
+from repro.switch.abstract_switch import AbstractSwitch
+from repro.switch.flow_table import (
+    META_PRIORITY,
+    FlowTable,
+    Rule,
+    RulePlan,
+    _keys_of,
+    tag_summary,
+)
 
 #: ≥ 25 seeded sequences per oracle (ROADMAP item 5a).
 SEEDS = range(30)
@@ -183,11 +192,14 @@ class ReferenceTable(FlowTable):
     owner's stale rules, delete them one by one, then ``install`` every
     rule of the update one by one."""
 
-    def replace_rules_of(self, cid: str, new_rules: Iterable[Rule]) -> None:
-        incoming = list(new_rules)
+    def replace_rules_of(self, cid: str, new_rules: Iterable[Rule], tag: object = None) -> None:
+        # A batch tag is the same as that tag on every rule of the batch.
+        incoming = [rule if tag is None else rule.with_tag(tag) for rule in new_rules]
         for rule in incoming:
             if rule.cid != cid:
                 raise ValueError(f"rule owned by {rule.cid} in update for {cid}")
+            if rule.sid != self.sid:
+                raise ValueError(f"rule for switch {rule.sid} offered to {self.sid}")
         keep = {rule.key() for rule in incoming}
         for key in [
             k
@@ -232,20 +244,52 @@ def _meta(cid: str, tag: object) -> Rule:
                 forward_to=None, tag=tag)
 
 
+def _stamps(table: FlowTable) -> Dict[Tuple, int]:
+    """Least-recently-updated stamps as the next eviction must see them,
+    derived without settling anything in the table itself."""
+    stamps = dict(table._touched)
+    for gen in table._generations.values():
+        if not gen.stamped:
+            stamps.update(zip(gen.keys, range(gen.base, gen.base + len(gen.keys))))
+    return stamps
+
+
+def _forwarding(rules: List[Rule]) -> List[Tuple]:
+    """What the data path reads of a matching() result (never the tag)."""
+    return [(rule.key(), rule.sid, rule.detour_start) for rule in rules]
+
+
+def _snapshot(table: FlowTable):
+    switch = AbstractSwitch(table.sid, alive_neighbors=lambda: [])
+    switch.table = table
+    return switch.snapshot()
+
+
 def _assert_tables_equal(table: FlowTable, reference: FlowTable, events, ref_events) -> None:
-    assert table.rules() == reference.rules()
+    assert table.rules() == reference.rules()  # tags included
     for header in HEADERS + [("⊥", "⊥")]:
-        assert table.matching(*header) == reference.matching(*header), header
+        assert _forwarding(table.matching(*header)) == _forwarding(
+            reference.matching(*header)
+        ), header
     assert table.version == reference.version
     assert events == ref_events
     assert table.evictions == reference.evictions
     assert table.controllers_present() == reference.controllers_present()
     for cid in OWNERS:
         assert table.rules_of(cid) == reference.rules_of(cid)
+    reply = _snapshot(table)
+    assert reply.owner_tags == tag_summary(reference.rules())
+    assert reply.rules == tuple(reference.rules())
     # Not observable yet, but what the next eviction and the next foreign
-    # install will act on: the LRU stamps and the raw bucket order.
-    assert table._touched == reference._touched
-    assert table._by_match == reference._by_match
+    # install will act on: the LRU stamps (after settling) and each owner's
+    # keys inside every bucket (cross-owner order never reaches matching()).
+    assert _stamps(table) == reference._touched
+    assert table._by_match.keys() == reference._by_match.keys()
+    for header, bucket in table._by_match.items():
+        for cid in OWNERS:
+            assert [k for k in bucket if k[0] == cid] == [
+                k for k in reference._by_match[header] if k[0] == cid
+            ], (header, cid)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -317,14 +361,198 @@ def test_replace_rules_of_equals_per_rule_reference(seed):
         _assert_tables_equal(table, reference, events, ref_events)
 
 
+# -- (c) generations: one round tag per (owner, switch) vs a tag on every rule ----
+
+
+def _log_deletes(table: FlowTable) -> List[Tuple]:
+    """Every key the table deletes, evictions included, in order."""
+    deleted: List[Tuple] = []
+    delete = table._delete_key
+
+    def logged(key: Tuple) -> None:
+        deleted.append(key)
+        delete(key)
+
+    table._delete_key = logged
+    return deleted
+
+
+def run_generation_sequence(seed: int, table_class=FlowTable) -> FlowTable:
+    """Drive ``table_class`` and the per-rule reference through one seeded
+    sequence of batch-tagged refreshes and everything that can interrupt
+    them, comparing after every step."""
+    rng = random.Random(1000 + seed)
+    max_rules = rng.choice([7, 12, 18, 64])  # small: evictions between and inside refreshes
+    table, reference = table_class(SID, max_rules), ReferenceTable(SID, max_rules)
+    events: List[Tuple] = []
+    ref_events: List[Tuple] = []
+    table.add_version_listener(lambda sid, evs: events.append((sid, evs)))
+    reference.add_version_listener(lambda sid, evs: ref_events.append((sid, evs)))
+    deleted, ref_deleted = _log_deletes(table), _log_deletes(reference)
+    owners = OWNERS[: rng.choice([2, 3, 3])]
+    # Owners share headers: controller-pair flows put two owners under one (src, dst).
+    shared = [_random_rule(rng, OWNERS[0]) for _ in range(3)]
+    plans: Dict[str, Tuple[Rule, ...]] = {}
+    for cid in owners:
+        plan = [replace(rule, cid=cid) for rule in shared[: rng.randint(1, 3)]]
+        for _ in range(rng.randint(1, 4)):
+            plan.append(_random_rule(rng, cid, plan))
+        plans[cid] = RulePlan(dict.fromkeys(plan))
+
+    def both(operation) -> None:
+        operation(table)
+        operation(reference)
+
+    for step in range(120):
+        tag = ("round", step)
+        cid = rng.choice(owners)
+        plan = plans[cid]
+        action = rng.choice(
+            ["same"] * 9
+            + ["distinct", "distinct", "permute", "add", "remove", "flip", "mixed", "meta",
+               "meta", "garbage", "foreign", "delete", "clear", "limit"]
+        )
+        if action == "distinct":
+            # Equal rules, another tuple: sometimes with its keys, sometimes plain.
+            copies = [replace(rule) for rule in plan]
+            plan = RulePlan(copies) if rng.random() < 0.5 else tuple(copies)
+        elif action == "permute":
+            plan = RulePlan(rng.sample(plan, len(plan)))
+        elif action == "add":
+            rule = _random_rule(rng, cid, list(plan))
+            if rule.key() not in _keys_of(plan):
+                at = rng.randint(0, len(plan))
+                plan = RulePlan(plan[:at] + (rule,) + plan[at:])
+        elif action == "remove" and plan:
+            at = rng.randrange(len(plan))
+            plan = RulePlan(plan[:at] + plan[at + 1:])
+        elif action == "flip" and plan:
+            at = rng.randrange(len(plan))
+            if plan[at].detour is not None:
+                flipped = replace(plan[at], detour_start=not plan[at].detour_start)
+                plan = RulePlan(plan[:at] + (flipped,) + plan[at + 1:])
+        plans[cid] = plan
+        if action in ("same", "distinct", "permute", "add", "remove", "flip"):
+            both(lambda t: t.replace_rules_of(cid, plan, tag))
+        elif action == "mixed":
+            # Per-rule tags, two rounds in one batch (the three-tag variant).
+            batch = tuple(
+                rule.with_tag(tag if i % 2 else ("round", step - 1)) for i, rule in enumerate(plan)
+            )
+            both(lambda t: t.replace_rules_of(cid, batch))
+        elif action == "meta":
+            both(lambda t: t.install(_meta(cid, tag)))  # newRound
+        elif action == "garbage":
+            resident = [r for r in reference.rules() if not r.is_meta]
+            junk = [replace(_random_rule(rng, cid, resident), sid="elsewhere", tag="junk")]
+            both(lambda t: t.corrupt_with(junk))
+        elif action == "foreign" and plan:
+            other = rng.choice([o for o in OWNERS if o != cid])
+            foreign = replace(rng.choice(plan), cid=other, tag=tag)
+            both(lambda t: t.install(foreign))
+        elif action == "delete":
+            include_meta = rng.random() < 0.5
+            both(lambda t: t.delete_rules_of(cid, include_meta=include_meta))
+        elif action == "clear" and rng.random() < 0.3:
+            both(lambda t: t.clear())
+        elif action == "limit":
+            # A clogged table, where the next installs evict, or room again.
+            clogged = max(3, len(reference) - rng.randint(0, 2))
+            table.max_rules = reference.max_rules = rng.choice([clogged, max_rules])
+        _assert_tables_equal(table, reference, events, ref_events)
+        assert deleted == ref_deleted
+    return table
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_generations_equal_per_rule_reference(seed):
+    run_generation_sequence(seed)
+
+
+def test_generation_sequences_reach_the_fast_path_and_the_fallback():
+    tables = [run_generation_sequence(seed) for seed in SEEDS]
+    assert sum(t.refreshes for t in tables) > 10 * len(tables)
+    assert sum(t.evictions for t in tables) > len(tables)
+    assert all(t.rule_writes > t.refreshes for t in tables)
+
+
+def test_shortcut_forced_off_is_still_the_reference(monkeypatch):
+    """The O(1) match changes cost, never behaviour."""
+    monkeypatch.setattr(FlowTable, "_same_generation", lambda self, gen, rules: False)
+    for seed in SEEDS:
+        assert run_generation_sequence(seed).refreshes == 0
+
+
+class _ClockStandsStill(FlowTable):
+    def replace_rules_of(self, cid, new_rules, tag=None):
+        refreshes, clock = self.refreshes, self._clock
+        super().replace_rules_of(cid, new_rules, tag)
+        if self.refreshes != refreshes:
+            self._clock = clock
+
+
+class _KeepsTheOldTag(FlowTable):
+    def replace_rules_of(self, cid, new_rules, tag=None):
+        refreshes, gen = self.refreshes, self._generations.get(cid)
+        old = gen.tag if gen is not None else None
+        super().replace_rules_of(cid, new_rules, tag)
+        if self.refreshes != refreshes:
+            gen.tag = old
+
+
+class _IgnoresDetourStart(FlowTable):
+    def _same_generation(self, gen, rules):
+        return rules is gen.rules or _keys_of(rules) == gen.keys
+
+
+class _IgnoresOrder(FlowTable):
+    def _same_generation(self, gen, rules):
+        return sorted(_keys_of(rules), key=repr) == sorted(gen.keys, key=repr) and all(
+            rule.sid == self.sid for rule in rules
+        )
+
+
+class _InstallKeepsTheGeneration(FlowTable):
+    def install(self, rule):
+        if rule.sid != self.sid:
+            raise ValueError("wrong switch")
+        self._install(rule.key(), rule)
+
+
+class _EvictsOnStaleStamps(FlowTable):
+    def _evict_one(self):
+        victim = min(self._touched, key=self._touched.get)
+        self._delete_key(victim)
+        self.evictions += 1
+
+
+@pytest.mark.parametrize(
+    "mutant",
+    [_ClockStandsStill, _KeepsTheOldTag, _IgnoresDetourStart, _IgnoresOrder,
+     _InstallKeepsTheGeneration, _EvictsOnStaleStamps],
+)
+def test_generation_oracle_catches_a_broken_fast_path(mutant):
+    """Six seeded mutations of the fast path: the oracle must bite each."""
+    caught = 0
+    for seed in SEEDS:
+        try:
+            run_generation_sequence(seed, mutant)
+        except (AssertionError, KeyError, ValueError):
+            caught += 1
+    assert caught >= 3, f"{mutant.__name__} survived {len(SEEDS) - caught} of {len(SEEDS)} seeds"
+
+
 @pytest.mark.parametrize("table_class", [FlowTable, ReferenceTable])
 def test_replace_rules_of_rejects_wrong_owner_and_wrong_switch(table_class):
-    resident = Rule("c0", SID, "c0", "s1", 1000, "p1", tag=1)
-    for bad in (
-        Rule("c1", SID, "c0", "s1", 1000, "p1", tag=2),  # wrong cid
-        Rule("c0", "s9", "c0", "s1", 1000, "p1", tag=2),  # wrong sid
-    ):
-        table = table_class(SID, 8)
-        table.install(resident)
-        with pytest.raises(ValueError):
-            table.replace_rules_of("c0", [bad])
+    resident = RulePlan([Rule("c0", SID, "c0", "s1", 1000, "p1")])
+    for tag in (None, "t2"):  # per-rule tags, and a batch tag over a resident generation
+        for bad in (
+            Rule("c1", SID, "c0", "s1", 1000, "p1", tag=2),  # wrong cid
+            Rule("c0", "s9", "c0", "s1", 1000, "p1", tag=2),  # wrong sid: an equal key sequence
+        ):
+            table = table_class(SID, 8)
+            table.replace_rules_of("c0", resident, "t1")
+            before = (table.rules(), table.version, table._clock)
+            with pytest.raises(ValueError):
+                table.replace_rules_of("c0", [bad], tag)
+            assert (table.rules(), table.version, table._clock) == before
